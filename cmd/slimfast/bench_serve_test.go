@@ -12,15 +12,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"slimfast/internal/cluster"
+	"slimfast/internal/resilience"
 	"slimfast/internal/stream"
 )
 
@@ -151,4 +157,66 @@ func BenchmarkServeHTTP(b *testing.B) {
 			return client.Get(url)
 		})
 	})
+}
+
+// BenchmarkClusterIngest drives the router end to end over 1, 2 and 4
+// in-process members, in the geometry of `slimfast router`'s
+// production defaults: 1024-claim chunks and epochs, a cluster
+// checkpoint (every member writes a generation, then the manifest)
+// every 4 barriers. Members are single-shard, externally coordinated
+// engines behind the real node handler, each pre-warmed with its share
+// of a 4,096-object corpus. One op is one POST /observe of a 64-claim
+// NDJSON batch with its own X-Batch-Seq, so epoch barriers and
+// checkpoints land in the timed region at their production rate.
+func BenchmarkClusterIngest(b *testing.B) {
+	for _, nodes := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			dir := b.TempDir()
+			urls := make([]string, nodes)
+			for i := range urls {
+				opts := stream.DefaultEngineOptions()
+				opts.Shards = 1
+				opts.EpochLength = stream.ExternalEpochLength
+				eng, err := stream.NewEngine(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				store := stream.NewCheckpointStore(filepath.Join(dir, fmt.Sprintf("member%d.ckpt", i)), 2)
+				srv := httptest.NewServer(newStreamServer(eng, serveConfig{Batch: 1024, Store: store}, io.Discard).handler())
+				b.Cleanup(srv.Close)
+				urls[i] = srv.URL
+			}
+			rt, err := cluster.New(cluster.Config{
+				Nodes:            urls,
+				Batch:            1024,
+				EpochLength:      1024,
+				CheckpointEpochs: 4,
+				ManifestPath:     filepath.Join(dir, "cluster.json"),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := httptest.NewServer(newRouterServer(rt, io.Discard, nil, "text").handler())
+			b.Cleanup(srv.Close)
+			if _, err := rt.Ingest(context.Background(), benchCorpus(200, 4096, 8, 0), "warm"); err != nil {
+				b.Fatal(err)
+			}
+			bodies := ndjsonBodies(benchCorpus(200, 4096, 8, 1), 64)
+			tr := &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 64}
+			b.Cleanup(tr.CloseIdleConnections)
+			client := &http.Client{Transport: tr}
+			url := srv.URL + "/v1/observe"
+			var seq atomic.Int64
+			driveConcurrent(b, func(i int) (*http.Response, error) {
+				n := seq.Add(1)
+				req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(bodies[int(n)%len(bodies)]))
+				if err != nil {
+					return nil, err
+				}
+				req.Header.Set("Content-Type", "application/x-ndjson")
+				req.Header.Set(resilience.SeqHeader, "bench-"+strconv.FormatInt(n, 10))
+				return client.Do(req)
+			})
+		})
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"slimfast/internal/cluster"
@@ -145,6 +146,91 @@ func TestRouterGoldenEquivalence(t *testing.T) {
 	}
 	if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst {
 		t.Fatal("re-delivered request changed the cluster estimates")
+	}
+}
+
+// TestRouterPartialFailureRedeliversExactlyOnce fails one keyed chunk
+// on member 1 until the router's retry policy gives up, while member 0
+// applies its half of the chunk. Redelivering the request under the
+// same sequence key must then leave the cluster byte-identical to one
+// 2-shard engine fed the claims once: member 0 dedups the half it
+// already has, member 1 applies its half, and no barrier runs twice.
+func TestRouterPartialFailureRedeliversExactlyOnce(t *testing.T) {
+	const nodes, batch, epochLen = 2, 32, 64
+	const failKey = "pf.c5.n1"
+	claims := goldenClaims()
+	var mu sync.Mutex
+	failsLeft := 3 // newGoldenClusterOver's MaxAttempts
+	engines := make([]*stream.Engine, nodes)
+	urls := make([]string, nodes)
+	for i := range urls {
+		opts := stream.DefaultEngineOptions()
+		opts.Shards = 1
+		opts.EpochLength = stream.ExternalEpochLength
+		eng, err := stream.NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = eng
+		member := testServer(eng, "", batch).handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get(resilience.SeqHeader) == failKey {
+				mu.Lock()
+				fail := failsLeft > 0
+				if fail {
+					failsLeft--
+				}
+				mu.Unlock()
+				if fail {
+					http.Error(w, "induced failure", http.StatusInternalServerError)
+					return
+				}
+			}
+			member.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	rs := newGoldenClusterOver(t, urls, batch, epochLen)
+	body := ndjsonFromTriples(claims)
+	if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe?seq=pf", "application/x-ndjson", body); rec.Code == http.StatusOK {
+		t.Fatalf("first delivery succeeded although member 1 failed %s every time: %s", failKey, rec.Body)
+	}
+	if !engines[0].SeqSeen("pf.c5.n0") {
+		t.Fatal("member 0 did not apply its half of the failed chunk")
+	}
+	mu.Lock()
+	left := failsLeft
+	mu.Unlock()
+	if left != 0 {
+		t.Fatalf("member 1 has %d induced failures left: the retry policy did not run out", left)
+	}
+	if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe?seq=pf", "application/x-ndjson", body); rec.Code != http.StatusOK {
+		t.Fatalf("redelivery: %d %s", rec.Code, rec.Body)
+	}
+
+	refOpts := stream.DefaultEngineOptions()
+	refOpts.Shards = nodes
+	refOpts.EpochLength = epochLen
+	ref, err := stream.NewEngine(refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(claims); lo += batch {
+		ref.ObserveBatch(claims[lo:min(lo+batch, len(claims))])
+	}
+	var wantEst, wantSrc bytes.Buffer
+	if err := writeEstimatesCSV(&wantEst, ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSourceAccuraciesCSV(&wantSrc, ref); err != nil {
+		t.Fatal(err)
+	}
+	if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst.String() {
+		t.Errorf("cluster /estimates diverged from the single engine\ncluster:\n%s\nreference:\n%s", got.Body, wantEst.String())
+	}
+	if got := doReq(t, rs.handler(), http.MethodGet, "/v1/sources", "", ""); got.Body.String() != wantSrc.String() {
+		t.Errorf("cluster /sources diverged from the single engine\ncluster:\n%s\nreference:\n%s", got.Body, wantSrc.String())
 	}
 }
 

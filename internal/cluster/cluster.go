@@ -12,14 +12,18 @@
 // route to nodes with the same hash (stream.ShardIndex), ingest fans
 // out over the nodes' HTTP /observe surface through the retrying
 // resilience client, and at every epoch barrier the router drains all
-// nodes in fixed node order (POST /epoch/drain), folds the deltas
-// node-major — the same float accumulation order as a shard drain —
-// recomputes the accuracies, and pushes the merged σ-table back (POST
-// /epoch/apply). Refine is the same protocol over /epoch/mass with an
-// eager rescore. Because every float is folded in the same order a
-// single engine would fold it, the cluster's estimates and source
-// accuracies match the single engine bit for bit
-// (TestRouterGoldenEquivalence in cmd/slimfast pins this down).
+// nodes (POST /epoch/drain), folds the deltas node-major — the same
+// float accumulation order as a shard drain — recomputes the
+// accuracies, and pushes the merged σ-table back (POST /epoch/apply).
+// Every per-node request of one step (a chunk's posts, a barrier's
+// drains or applies, a checkpoint) is in flight at once; the step ends
+// when all have answered, and the fold reads the answers in node order,
+// so concurrency changes latency, never the bits. Refine is the same
+// protocol over /epoch/mass with an eager rescore. Because every float
+// is folded in the same order a single engine would fold it, the
+// cluster's estimates and source accuracies match the single engine
+// bit for bit (TestRouterGoldenEquivalence in cmd/slimfast pins this
+// down).
 //
 // Exactly-once across retries and node restarts:
 //
@@ -361,32 +365,82 @@ type ndjsonRecord struct {
 	Value  string `json:"value"`
 }
 
-// forwardLocked fans one chunk out to the nodes owning its objects.
+// forwardLocked fans one chunk out to the nodes owning its objects,
+// posting to every node concurrently. Each node still receives its
+// chunks in stream order: the next chunk is not sent before every post
+// of this one has answered.
 func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key string) error {
 	n := len(r.cfg.Nodes)
 	bufs := make([]bytes.Buffer, n)
+	encs := make([]*json.Encoder, n)
 	for _, tr := range chunk {
 		j := stream.ShardIndex(tr.Object, n)
-		if err := json.NewEncoder(&bufs[j]).Encode(ndjsonRecord{tr.Source, tr.Object, tr.Value}); err != nil {
+		if encs[j] == nil {
+			encs[j] = json.NewEncoder(&bufs[j])
+		}
+		if err := encs[j].Encode(ndjsonRecord{tr.Source, tr.Object, tr.Value}); err != nil {
 			return fmt.Errorf("cluster: encoding claim: %w", err)
 		}
 	}
-	for j, node := range r.cfg.Nodes {
+	return r.fanOut(func(j int) error {
 		if bufs[j].Len() == 0 {
-			continue
+			return nil
 		}
 		nodeKey := ""
 		if key != "" {
 			nodeKey = key + ".n" + strconv.Itoa(j)
 		}
 		began := time.Now()
-		if _, err := r.post(ctx, node+"/v1/observe", "application/x-ndjson", nodeKey, bufs[j].Bytes()); err != nil {
+		if _, err := r.post(ctx, r.cfg.Nodes[j]+"/v1/observe", "application/x-ndjson", nodeKey, bufs[j].Bytes()); err != nil {
 			return fmt.Errorf("cluster: partition %d: %w", j, err)
 		}
 		r.fanReq[j].Inc()
 		r.fanSec[j].Observe(time.Since(began).Seconds())
+		return nil
+	})
+}
+
+// fanOut runs call once per node, concurrently, and waits for all of
+// them. It returns the error of the lowest-numbered failing node, so
+// what a failure reports does not depend on which node answered first.
+func (r *Router) fanOut(call func(node int) error) error {
+	errs := make([]error, len(r.cfg.Nodes))
+	var wg sync.WaitGroup
+	for j := range r.cfg.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[j] = call(j)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// exchange runs one idempotent-by-tag coordination exchange on every
+// node concurrently and returns the responses in node order.
+func (r *Router) exchange(ctx context.Context, path string, req epochRequest) ([]epochResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	resps := make([]epochResponse, len(r.cfg.Nodes))
+	err = r.fanOut(func(j int) error {
+		data, err := r.post(ctx, r.cfg.Nodes[j]+path, "application/json", "", body)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(data, &resps[j]); err != nil {
+			return fmt.Errorf("%s%s: parsing response: %w", r.cfg.Nodes[j], path, err)
+		}
+		return nil
+	})
+	return resps, err
 }
 
 // epochRequest / epochResponse are the node coordination exchange
@@ -413,23 +467,24 @@ func (r *Router) flushBarrierLocked(ctx context.Context) error {
 	return nil
 }
 
-// barrierLocked runs one cluster epoch: drain every node in node
-// order, fold the deltas node-major (the same accumulation order a
-// single engine's shard drain uses), recompute the accuracies against
-// the cluster-cumulative evidence, and push the merged σ-table back.
-// The cumulative state commits only after every node accepted the
-// apply, so a partial failure retried under the same tag folds the
-// very same (cached) drains and cannot double-count.
+// barrierLocked runs one cluster epoch: drain every node
+// concurrently, fold the deltas node-major once all have answered (the
+// same accumulation order a single engine's shard drain uses),
+// recompute the accuracies against the cluster-cumulative evidence,
+// and push the merged σ-table back to every node concurrently. The
+// cumulative state commits only after every node accepted the apply,
+// so a partial failure retried under the same tag folds the very same
+// (cached) drains and cannot double-count.
 func (r *Router) barrierLocked(ctx context.Context) error {
 	tag := "e" + strconv.FormatInt(r.barriers+1, 10)
+	resps, err := r.exchange(ctx, "/v1/epoch/drain", epochRequest{Tag: tag})
+	if err != nil {
+		return err
+	}
 	delta := make([]float64, len(r.names), len(r.names)+16)
 	dtot := make([]float64, len(r.names), len(r.names)+16)
 	obs := make([]int64, len(r.names), len(r.names)+16)
-	for _, node := range r.cfg.Nodes {
-		var resp epochResponse
-		if err := r.postEpoch(ctx, node, "/v1/epoch/drain", epochRequest{Tag: tag}, &resp); err != nil {
-			return err
-		}
+	for _, resp := range resps {
 		for _, st := range resp.Sources {
 			i := r.internLocked(st.Source)
 			for len(delta) < len(r.names) {
@@ -460,10 +515,8 @@ func (r *Router) barrierLocked(ctx context.Context) error {
 		}
 		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(newAgree[s], newTotal[s])}
 	}
-	for _, node := range r.cfg.Nodes {
-		if err := r.postEpoch(ctx, node, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs}, nil); err != nil {
-			return err
-		}
+	if _, err := r.exchange(ctx, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs}); err != nil {
+		return err
 	}
 	r.agree, r.total = newAgree, newTotal
 	r.barriers++
@@ -512,14 +565,14 @@ func (r *Router) Refine(ctx context.Context, sweeps int) (int64, error) {
 
 func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) error {
 	tag := "r" + strconv.FormatInt(op, 10) + ".s" + strconv.Itoa(sweep)
+	resps, err := r.exchange(ctx, "/v1/epoch/mass", epochRequest{Tag: tag})
+	if err != nil {
+		return err
+	}
 	mergedA := make([]float64, len(r.names), len(r.names)+16)
 	mergedT := make([]float64, len(r.names), len(r.names)+16)
 	rows := 0
-	for _, node := range r.cfg.Nodes {
-		var resp epochResponse
-		if err := r.postEpoch(ctx, node, "/v1/epoch/mass", epochRequest{Tag: tag}, &resp); err != nil {
-			return err
-		}
+	for _, resp := range resps {
 		rows += len(resp.Sources)
 		for _, st := range resp.Sources {
 			i := r.internLocked(st.Source)
@@ -538,10 +591,8 @@ func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) err
 	for s := range r.names {
 		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(mergedA[s], mergedT[s])}
 	}
-	for _, node := range r.cfg.Nodes {
-		if err := r.postEpoch(ctx, node, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs, Rescore: true}, nil); err != nil {
-			return err
-		}
+	if _, err := r.exchange(ctx, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs, Rescore: true}); err != nil {
+		return err
 	}
 	r.agree, r.total = mergedA, mergedT
 	return nil
@@ -627,7 +678,8 @@ func (r *Router) Sources(ctx context.Context, w io.Writer) error {
 }
 
 // Checkpoint makes the cluster durable on demand: every node writes a
-// checkpoint generation, then the router manifest is written.
+// checkpoint generation (all nodes at once), then the router manifest
+// is written.
 func (r *Router) Checkpoint(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -635,10 +687,14 @@ func (r *Router) Checkpoint(ctx context.Context) error {
 }
 
 func (r *Router) checkpointLocked(ctx context.Context) error {
-	for i, node := range r.cfg.Nodes {
-		if _, err := r.post(ctx, node+"/v1/checkpoint", "", "", nil); err != nil {
-			return fmt.Errorf("cluster: partition %d checkpoint: %w", i, err)
+	err := r.fanOut(func(j int) error {
+		if _, err := r.post(ctx, r.cfg.Nodes[j]+"/v1/checkpoint", "", "", nil); err != nil {
+			return fmt.Errorf("cluster: partition %d checkpoint: %w", j, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if r.cfg.ManifestPath == "" {
 		return nil
@@ -786,24 +842,6 @@ func (r *Router) post(ctx context.Context, url, contentType, seq string, body []
 		return nil, fmt.Errorf("%s: reading response: %w", url, rerr)
 	}
 	return data, nil
-}
-
-// postEpoch runs one idempotent-by-tag coordination exchange.
-func (r *Router) postEpoch(ctx context.Context, node, path string, req epochRequest, out *epochResponse) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	data, err := r.post(ctx, node+path, "application/json", "", body)
-	if err != nil {
-		return err
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("%s%s: parsing response: %w", node, path, err)
-		}
-	}
-	return nil
 }
 
 // get issues one read through the retrying client.

@@ -46,7 +46,8 @@ func DecodeConfig(r *wire.Reader) Config {
 }
 
 // EncodeState writes the learner's mutable state. Call on a quiescent
-// learner (or a Clone taken under the engine's refresh lock).
+// learner: the engine calls it under its refresh lock, which every
+// learner update also holds.
 func (l *Learner) EncodeState(w *wire.Writer) {
 	w.Strings(l.featNames)
 	w.Float64s(l.w)

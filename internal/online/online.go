@@ -479,35 +479,3 @@ func (l *Learner) train(stats func(sid int) (c, t float64)) {
 		}
 	}
 }
-
-// Clone deep-copies the learner (used by the engine's copy-on-read
-// checkpoint path: snapshot under the refresh lock, encode without).
-func (l *Learner) Clone() *Learner {
-	c := &Learner{
-		cfg:       l.cfg,
-		featIdx:   make(map[string]int, len(l.featIdx)),
-		featNames: append([]string(nil), l.featNames...),
-		w:         append([]float64(nil), l.w...),
-		srcFeats:  make([][]int32, len(l.srcFeats)),
-		ringPos:   l.ringPos,
-		winAgree:  append([]float64(nil), l.winAgree...),
-		winTotal:  append([]float64(nil), l.winTotal...),
-		epochs:    l.epochs,
-		step:      l.step,
-	}
-	for k, v := range l.featIdx {
-		c.featIdx[k] = v
-	}
-	for s := range l.srcFeats {
-		c.srcFeats[s] = append([]int32(nil), l.srcFeats[s]...)
-	}
-	if l.cfg.WindowEpochs > 0 {
-		c.ringAgree = make([][]float64, len(l.ringAgree))
-		c.ringTotal = make([][]float64, len(l.ringTotal))
-		for i := range l.ringAgree {
-			c.ringAgree[i] = append([]float64(nil), l.ringAgree[i]...)
-			c.ringTotal[i] = append([]float64(nil), l.ringTotal[i]...)
-		}
-	}
-	return c
-}

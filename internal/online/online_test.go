@@ -194,7 +194,7 @@ func encodeLearner(t *testing.T, l *Learner) []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
 	EncodeConfig(w, l.Config())
-	l.Clone().EncodeState(w)
+	l.EncodeState(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -83,80 +83,32 @@ var (
 	ErrCorrupt = errors.New("stream: corrupt checkpoint")
 )
 
-// shardSnapshot is one shard's state, deep-copied under the shard's
-// read lock so encoding happens with no locks held (the copy-on-read
-// half of "safe concurrent with ingest").
-type shardSnapshot struct {
-	objs           []object
-	free           []int
-	dirtyIx        []int
-	lruHead        int
-	lruTail        int
-	deltaAgree     []float64
-	deltaTotal     []float64
-	obsCount       []int64
-	evictedAgree   []float64
-	evictedTotal   []float64
-	evictedObjects int64
-	evictedClaims  int64
-	evictedMass    float64
-}
-
-// snapshot deep-copies the shard. Dead (freelist) slots keep only
-// their placeholder: their slice contents are garbage by contract and
-// are not part of the format.
-func (sh *shard) snapshot() shardSnapshot {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sn := shardSnapshot{
-		objs:           make([]object, len(sh.objs)),
-		free:           append([]int(nil), sh.free...),
-		dirtyIx:        append([]int(nil), sh.dirtyIx...),
-		lruHead:        sh.lruHead,
-		lruTail:        sh.lruTail,
-		deltaAgree:     append([]float64(nil), sh.deltaAgree...),
-		deltaTotal:     append([]float64(nil), sh.deltaTotal...),
-		obsCount:       append([]int64(nil), sh.obsCount...),
-		evictedAgree:   append([]float64(nil), sh.evictedAgree...),
-		evictedTotal:   append([]float64(nil), sh.evictedTotal...),
-		evictedObjects: sh.evictedObjects,
-		evictedClaims:  sh.evictedClaims,
-		evictedMass:    sh.evictedMass,
-	}
-	for ix := range sh.objs {
-		src := &sh.objs[ix]
-		dst := &sn.objs[ix]
-		if !src.live {
-			dst.live = false
-			dst.prev, dst.next = -1, -1
-			continue
-		}
-		*dst = *src
-		dst.claims = append([]claim(nil), src.claims...)
-		dst.domain = append([]int32(nil), src.domain...)
-		dst.refs = append([]int32(nil), src.refs...)
-		dst.scores = append([]float64(nil), src.scores...)
-		dst.post = append([]float64(nil), src.post...)
-	}
-	return sn
-}
-
-// WriteCheckpoint serializes the engine to w. It is safe to call
-// concurrently with ingest: each shard is deep-copied under its read
-// lock, in shard order, with the refresh lock held so no epoch
-// refresh interleaves between shard copies; encoding then runs with
-// no engine locks held. A checkpoint taken while ingest is in flight
-// is a consistent engine state, but only a quiescent checkpoint
-// carries the bit-exact restart-determinism guarantee.
+// WriteCheckpoint serializes the engine to w. It makes no snapshot
+// copy: under the refresh lock (so no epoch refresh, Refine or learner
+// update interleaves) it takes every shard's read lock in shard order,
+// copies the small source table, and then streams each shard's live
+// state straight into the encoder, releasing each shard's lock once
+// its record is written. Ingest into a shard therefore waits until the
+// checkpoint has encoded it, and an ingest that crosses an epoch boundary
+// waits for the whole checkpoint; w must not call back into the
+// engine. A checkpoint taken while ingest is in flight is a consistent
+// engine state, but only a quiescent checkpoint carries the bit-exact
+// restart-determinism guarantee.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	e.refreshMu.Lock()
-	snaps := make([]shardSnapshot, e.nShards)
+	defer e.refreshMu.Unlock()
 	for s := range e.shards {
-		snaps[s] = e.shards[s].snapshot()
+		e.shards[s].mu.RLock()
 	}
-	// Tables are copied after the shards: interning precedes claim
-	// insertion, so every source/value id referenced by the shard
-	// copies above is covered by the (later, larger-or-equal) tables.
+	unlocked := 0 // shards [unlocked:] are still read-locked
+	defer func() {
+		for s := unlocked; s < e.nShards; s++ {
+			e.shards[s].mu.RUnlock()
+		}
+	}()
+	// Tables are copied after every shard is locked: interning precedes
+	// claim insertion, so every source/value id the locked shards
+	// reference is covered by the tables copied here.
 	e.src.mu.RLock()
 	srcNames := append([]string(nil), e.src.names...)
 	srcAgree := append([]float64(nil), e.src.agree...)
@@ -165,51 +117,41 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	srcSigma := append([]float64(nil), e.src.sigma...)
 	srcEpoch := e.src.epoch
 	e.src.mu.RUnlock()
-	valNames := e.valueNames()
-	nObs := e.nObs.Load()
-	sinceEp := e.sinceEp.Load()
 	opts := e.opts
 	opts.Shards = e.nShards            // pin the resolved count: GOMAXPROCS on the
 	opts.EpochLength = int(e.epochLen) // restoring host must not change the layout
 	opts.DedupWindow = e.seqCap        // pin so the restored window evicts identically
-	var learnerSnap *online.Learner
 	if e.learner != nil {
 		// Pin the resolved learner config too (Learn may have been the
-		// zero value), and deep-copy the state so encoding runs with no
-		// engine locks held. Learner mutation happens under refreshMu,
-		// which is held here.
+		// zero value). The learner only mutates under refreshMu, which
+		// is held here, so its state is encoded live below.
 		opts.OnlineLearn = true
 		opts.Learn = e.learner.Config()
 		opts.Features = e.features
-		learnerSnap = e.learner.Clone()
 	}
-	e.refreshMu.Unlock()
-	seqKeys := e.seqSnapshot()
 
-	bw := bufio.NewWriter(w)
-	ww := wire.NewWriter(bw, checkpointMagic, checkpointVersion)
+	ww := wire.NewWriter(w, checkpointMagic, checkpointVersion)
 	encodeOptions(ww, opts)
-	ww.Int64(nObs)
-	ww.Int64(sinceEp)
+	ww.Int64(e.nObs.Load())
+	ww.Int64(e.sinceEp.Load())
 	ww.Strings(srcNames)
 	ww.Float64s(srcAgree)
 	ww.Float64s(srcTotal)
 	ww.Float64s(srcAcc)
 	ww.Float64s(srcSigma)
 	ww.Int64(srcEpoch)
-	ww.Strings(valNames)
-	ww.Uint32(uint32(len(snaps)))
-	for s := range snaps {
-		encodeShard(ww, s, &snaps[s])
+	ww.Strings(e.valueNames())
+	ww.Uint32(uint32(e.nShards))
+	for s := range e.shards {
+		encodeShard(ww, s, &e.shards[s])
+		e.shards[s].mu.RUnlock()
+		unlocked = s + 1
 	}
-	if learnerSnap != nil {
-		learnerSnap.EncodeState(ww)
+	if e.learner != nil {
+		e.learner.EncodeState(ww)
 	}
-	ww.Strings(seqKeys)
+	ww.Strings(e.seqSnapshot())
 	if err := ww.Close(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("stream: checkpoint: %w", err)
 	}
 	return nil
@@ -292,8 +234,10 @@ func decodeOptions(r *wire.Reader, version uint32) (EngineOptions, error) {
 
 // encodeShard writes one shard record: an index tag (so Restore can
 // detect reordered or mismatched records), the full object slab in
-// slot order, and the shard-local accumulators.
-func encodeShard(w *wire.Writer, s int, sn *shardSnapshot) {
+// slot order, and the shard-local accumulators. Dead (freelist) slots
+// write only their liveness byte: their slice contents are garbage by
+// contract and are not part of the format. Caller holds sn.mu (read).
+func encodeShard(w *wire.Writer, s int, sn *shard) {
 	w.Uint32(uint32(s))
 	w.Uint32(uint32(len(sn.objs)))
 	for ix := range sn.objs {

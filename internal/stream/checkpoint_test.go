@@ -2,9 +2,14 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -394,10 +399,12 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteCheckpointConcurrentWithIngest proves the copy-on-read
-// claim under the race detector: checkpoints taken while another
-// goroutine ingests must be internally consistent (they restore
-// cleanly), and the ingesting engine must be unaffected.
+// TestWriteCheckpointConcurrentWithIngest proves, under the race
+// detector, that encoding straight from live shard state is safe while
+// another goroutine ingests: the checkpoint holds every shard's read
+// lock while it encodes, so checkpoints taken mid-ingest must be
+// internally consistent (they restore cleanly), and the ingesting
+// engine must be unaffected.
 func TestWriteCheckpointConcurrentWithIngest(t *testing.T) {
 	_, triples := streamInstance(t, 4)
 	opts := DefaultEngineOptions()
@@ -437,5 +444,102 @@ func TestWriteCheckpointConcurrentWithIngest(t *testing.T) {
 	}
 	if a, b := engineFingerprint(e), engineFingerprint(r); a != b {
 		t.Errorf("quiescent round-trip fingerprints differ: %x vs %x", a, b)
+	}
+}
+
+// checkpointGoldenSHA256 is the SHA-256 of goldenCheckpointEngine's
+// WriteCheckpoint output (format v4). It pins the on-disk bytes: any
+// change to the encoder, the wire codec or the state they capture that
+// alters a single byte fails TestCheckpointBytesGolden.
+const checkpointGoldenSHA256 = "d405a4cd64fcf757a845f9084ae84540bf69dd2b5d7c85c820a8489640e84163"
+
+// goldenCheckpointEngine builds a fixed 4-shard engine that exercises
+// every section of the checkpoint format: the online learner (feature
+// table, weights, window ring), LRU eviction (free lists, evicted
+// mass), per-epoch decay counters, and a dedup window that has wrapped.
+func goldenCheckpointEngine(t *testing.T) *Engine {
+	t.Helper()
+	_, triples, features := featureStreamInstance(t, 11)
+	opts := onlineOpts(features, 2)
+	opts.EpochLength = 96
+	opts.MaxObjects = 120
+	opts.Decay = 0.995
+	opts.DedupWindow = 16
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 50
+	for lo, n := 0, 0; lo < len(triples); lo, n = lo+chunk, n+1 {
+		batch := make([]Triple, 0, chunk)
+		for _, tr := range triples[lo:min(lo+chunk, len(triples))] {
+			batch = append(batch, Triple{tr[0], tr[1], tr[2]})
+		}
+		e.MarkSeq(fmt.Sprintf("golden-%d", n))
+		e.ObserveBatch(batch)
+	}
+	return e
+}
+
+// TestCheckpointBytesGolden pins the exact checkpoint bytes of a fixed
+// engine. The engine's float arithmetic is only bit-stable per
+// architecture (arm64, ppc64 and s390x fuse multiply-adds), so the
+// hash is pinned for amd64.
+func TestCheckpointBytesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden checkpoint hash is pinned for amd64, not %s", runtime.GOARCH)
+	}
+	e := goldenCheckpointEngine(t)
+	if st := e.Stats(); st.EvictedObjects == 0 {
+		t.Fatalf("golden engine evicted nothing: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != checkpointGoldenSHA256 {
+		t.Errorf("checkpoint bytes changed: sha256 %s (%d bytes), want %s", got, buf.Len(), checkpointGoldenSHA256)
+	}
+	if _, err := Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("golden checkpoint does not restore: %v", err)
+	}
+}
+
+// BenchmarkCheckpointWrite measures one WriteCheckpoint of a single
+// shard holding 25,000 objects with 8 claims each (200 sources, 4
+// values) into io.Discard: the encode cost a member pays per cluster
+// checkpoint, without the disk. Bytes/op is the checkpoint size.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	opts := DefaultEngineOptions()
+	opts.Shards = 1
+	opts.EpochLength = 1 << 14
+	e, err := NewEngine(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const objects, perObj = 25000, 8
+	batch := make([]Triple, 0, objects*perObj)
+	for o := 0; o < objects; o++ {
+		for k := 0; k < perObj; k++ {
+			batch = append(batch, Triple{
+				Source: fmt.Sprintf("s%03d", (o*perObj+k*7)%200),
+				Object: fmt.Sprintf("o%05d", o),
+				Value:  fmt.Sprintf("v%d", (o+k%3)%4),
+			})
+		}
+	}
+	e.ObserveBatch(batch)
+	size := countingWriter{w: io.Discard}
+	if err := e.WriteCheckpoint(&size); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.WriteCheckpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

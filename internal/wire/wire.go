@@ -52,34 +52,50 @@ const maxSliceLen = 1 << 28
 // allocation runs.
 const growChunk = 1 << 16
 
+// writeBufSize is how many bytes a Writer collects before folding
+// them into the CRC and handing them to the underlying writer in one
+// call. Per-field writes stay a bounds check and a store; the checksum
+// and the io.Writer see 64 KiB at a time.
+const writeBufSize = 1 << 16
+
 // Writer encodes primitives to an io.Writer while folding every byte
-// (header included) into a running CRC-32C. Errors are sticky: after
-// the first write failure all further calls are no-ops and Close
-// reports the error.
+// (header included) into a running CRC-32C. Output is collected in an
+// internal buffer and flushed in bulk, so callers need no bufio layer
+// of their own. Errors are sticky: after the first write failure all
+// further calls are no-ops, and Err and Close report the error. A
+// failure of the underlying writer surfaces at the flush that hit it.
 type Writer struct {
 	w   io.Writer
-	crc hash.Hash32
+	crc uint32
 	err error
-	buf [8]byte
+	buf []byte // pending bytes, not yet in crc or w
 }
 
 // NewWriter starts a stream: it writes the 4-byte magic and the
 // format version before returning.
 func NewWriter(w io.Writer, magic string, version uint32) *Writer {
-	wr := &Writer{w: w, crc: crc32.New(castagnoli)}
+	wr := &Writer{w: w, buf: make([]byte, 0, writeBufSize)}
 	if len(magic) != 4 {
 		wr.err = fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
 		return wr
 	}
-	wr.write([]byte(magic))
+	wr.writeString(magic)
 	wr.Uint32(version)
 	return wr
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
+// flush folds the pending bytes into the CRC and writes them out.
+func (w *Writer) flush() {
+	if w.err != nil || len(w.buf) == 0 {
 		return
 	}
+	w.emit(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// emit writes p to the underlying writer and, on success, into the
+// CRC.
+func (w *Writer) emit(p []byte) {
 	n, err := w.w.Write(p)
 	if err == nil && n != len(p) {
 		err = io.ErrShortWrite
@@ -88,21 +104,47 @@ func (w *Writer) write(p []byte) {
 		w.err = err
 		return
 	}
-	w.crc.Write(p)
+	w.crc = crc32.Update(w.crc, castagnoli, p)
+}
+
+// reserve makes room for n more bytes in the buffer (n <= its
+// capacity) and reports whether the stream is still healthy.
+func (w *Writer) reserve(n int) bool {
+	if len(w.buf)+n > cap(w.buf) {
+		w.flush()
+	}
+	return w.err == nil
+}
+
+// writeString appends raw bytes; a string at least as large as the
+// buffer bypasses it.
+func (w *Writer) writeString(s string) {
+	if len(s) >= cap(w.buf) {
+		w.flush()
+		if w.err == nil {
+			w.emit([]byte(s))
+		}
+		return
+	}
+	if w.reserve(len(s)) {
+		w.buf = append(w.buf, s...)
+	}
 }
 
 // Err returns the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
 
-// Close writes the CRC-32C footer and returns the first error of the
-// whole stream. It does not close the underlying writer.
+// Close flushes the pending bytes, writes the CRC-32C footer and
+// returns the first error of the whole stream. It does not close the
+// underlying writer.
 func (w *Writer) Close() error {
+	w.flush()
 	if w.err != nil {
 		return w.err
 	}
-	sum := w.crc.Sum32()
-	binary.LittleEndian.PutUint32(w.buf[:4], sum)
-	if _, err := w.w.Write(w.buf[:4]); err != nil {
+	var foot [4]byte
+	binary.LittleEndian.PutUint32(foot[:], w.crc)
+	if _, err := w.w.Write(foot[:]); err != nil {
 		w.err = err
 	}
 	return w.err
@@ -110,8 +152,9 @@ func (w *Writer) Close() error {
 
 // Uint8 writes one byte.
 func (w *Writer) Uint8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
+	if w.reserve(1) {
+		w.buf = append(w.buf, v)
+	}
 }
 
 // Bool writes a bool as one byte (0 or 1).
@@ -125,14 +168,16 @@ func (w *Writer) Bool(v bool) {
 
 // Uint32 writes a fixed-width little-endian uint32.
 func (w *Writer) Uint32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
+	if w.reserve(4) {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
 }
 
 // Uint64 writes a fixed-width little-endian uint64.
 func (w *Writer) Uint64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
+	if w.reserve(8) {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
 }
 
 // Int64 writes an int64 (two's complement, little-endian).
@@ -148,7 +193,7 @@ func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 // String writes a length-prefixed byte string.
 func (w *Writer) String(s string) {
 	w.Uint32(uint32(len(s)))
-	w.write([]byte(s))
+	w.writeString(s)
 }
 
 // Float64s writes a length-prefixed []float64.

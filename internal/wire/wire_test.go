@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -262,6 +264,81 @@ func TestWriterStickyError(t *testing.T) {
 	}
 	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Close = %v, want disk full", err)
+	}
+}
+
+// TestWriterFlushesAcrossBuffer writes a stream several times the
+// writer's internal buffer, with fields and strings straddling the
+// flush points and one string larger than the buffer: it must
+// round-trip, and its footer must be the CRC-32C of every byte before
+// it.
+func TestWriterFlushesAcrossBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testMagic, testVersion)
+	big := strings.Repeat("z", writeBufSize+3)
+	const n = 3 * writeBufSize / 8
+	for i := 0; i < n; i++ {
+		w.Uint8(uint8(i))
+		w.Uint64(uint64(i))
+		if i%1000 == 0 {
+			w.String(strings.Repeat("s", i%61))
+		}
+	}
+	w.String(big)
+	w.Float64s([]float64{1, 2, 3})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if len(b) < 4*writeBufSize {
+		t.Fatalf("stream is %d bytes, want several flushes of %d", len(b), writeBufSize)
+	}
+	body, foot := b[:len(b)-4], b[len(b)-4:]
+	if got, want := binary.LittleEndian.Uint32(foot), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); got != want {
+		t.Errorf("footer %08x, want Castagnoli CRC %08x", got, want)
+	}
+	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if u8, u64 := r.Uint8(), r.Uint64(); u8 != uint8(i) || u64 != uint64(i) {
+			t.Fatalf("field %d = %d/%d", i, u8, u64)
+		}
+		if i%1000 == 0 {
+			if s := r.String(); s != strings.Repeat("s", i%61) {
+				t.Fatalf("string %d = %q", i, s)
+			}
+		}
+	}
+	if s := r.String(); s != big {
+		t.Errorf("large string: %d bytes back, want %d", len(s), len(big))
+	}
+	if fs := r.Float64s(); len(fs) != 3 || fs[2] != 3 {
+		t.Errorf("Float64s = %v", fs)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestWriterStickyErrorInLaterFlush fails the underlying writer inside
+// the second flush: the error must stick and be reported by both Err
+// and Close.
+func TestWriterStickyErrorInLaterFlush(t *testing.T) {
+	fw := &failWriter{n: writeBufSize + writeBufSize/2}
+	w := NewWriter(fw, testMagic, testVersion)
+	for i := 0; i < writeBufSize; i++ { // 8 buffers' worth of fields
+		w.Float64(1)
+	}
+	if err := w.Err(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("Err = %v, want disk full", err)
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("Close = %v, want disk full", err)
+	}
+	if fw.n != 0 {
+		t.Errorf("writer still has %d bytes of room: the failing flush did not reach it", fw.n)
 	}
 }
 

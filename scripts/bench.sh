@@ -1,6 +1,7 @@
 #!/bin/sh
-# bench.sh [output.json] — run the core micro-benchmarks plus the
-# end-to-end HTTP serving benchmark with -benchmem and write a JSON
+# bench.sh [output.json] — run the core micro-benchmarks, the
+# checkpoint encode benchmark, and the end-to-end HTTP serving and
+# cluster ingest benchmarks with -benchmem and write a JSON
 # snapshot (name, iterations, ns/op, B/op, allocs/op and any custom
 # b.ReportMetric columns such as req/s and p99) used to track the
 # performance trajectory across PRs. Compare two snapshots with
@@ -17,9 +18,9 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkServeHTTP|BenchmarkMetricsScrape)$' \
+	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkServeHTTP|BenchmarkClusterIngest|BenchmarkMetricsScrape|BenchmarkCheckpointWrite)$' \
 	-benchmem \
-	. ./cmd/slimfast ./internal/obs | tee "$TMP"
+	. ./cmd/slimfast ./internal/obs ./internal/stream | tee "$TMP"
 
 {
 	printf '{\n'
