@@ -273,3 +273,76 @@ func TestRouterRefusesMemberRefine(t *testing.T) {
 		t.Fatalf("member refine: %d, want 409", rec.Code)
 	}
 }
+
+// TestRouterConcurrentReadsDuringIngest drives router reads from
+// several goroutines — plain estimates and sources, point, group and
+// top-k queries — while one client ingests, then checks the cluster
+// ends byte-identical to one 2-shard engine fed the same chunks. Run
+// under -race it also checks the read path shares the router's read
+// lock without touching state the ingest path writes.
+func TestRouterConcurrentReadsDuringIngest(t *testing.T) {
+	const nodes, batch, epochLen = 2, 32, 64
+	claims := goldenClaims()
+	rs := newGoldenCluster(t, nodes, batch, epochLen)
+	h := rs.handler()
+	reads := []string{
+		"/v1/estimates",
+		"/v1/sources",
+		"/v1/estimates?where=object=obj017",
+		"/v1/estimates?group=value&agg=count,sum:confidence,max:dissent",
+		"/v1/estimates?order=-contested&limit=5&format=json",
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				path := reads[i%len(reads)]
+				req := httptest.NewRequest(http.MethodGet, path, nil)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("read %s during ingest: %d %s", path, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	// Whole chunks per request, so the router chunks exactly as the
+	// reference engine's batches below.
+	const perReq = 4 * batch
+	for lo := 0; lo < len(claims); lo += perReq {
+		body := ndjsonFromTriples(claims[lo:min(lo+perReq, len(claims))])
+		if rec := doReq(t, h, http.MethodPost, "/v1/observe", "application/x-ndjson", body); rec.Code != http.StatusOK {
+			t.Fatalf("observe at %d: %d %s", lo, rec.Code, rec.Body)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	refOpts := stream.DefaultEngineOptions()
+	refOpts.Shards = nodes
+	refOpts.EpochLength = epochLen
+	ref, err := stream.NewEngine(refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(claims); lo += batch {
+		ref.ObserveBatch(claims[lo:min(lo+batch, len(claims))])
+	}
+	refHandler := testServer(ref, "", batch).handler()
+	for _, path := range reads {
+		want := doReq(t, refHandler, http.MethodGet, path, "", "")
+		got := doReq(t, h, http.MethodGet, path, "", "")
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Errorf("cluster %s diverged from the 2-shard engine\ncluster (%d):\n%s\nreference:\n%s", path, got.Code, got.Body, want.Body)
+		}
+	}
+}

@@ -123,17 +123,22 @@ type Config struct {
 	Metrics Metrics
 }
 
-// Router coordinates a fixed set of member nodes. All mutating
-// operations serialize on one mutex — the cluster-level ingest lock,
-// mirroring the per-node request serialization — while health probes
-// read atomic counters and never block on in-flight work.
+// Router coordinates a fixed set of member nodes. Mutating operations
+// (ingest, refine, checkpoint) serialize on the write side of one
+// RWMutex — the cluster-level ingest lock, mirroring the per-node
+// request serialization. Reads (Estimates, Sources, Query) share its
+// read side, so they run concurrently with each other yet never
+// straddle a barrier; each gathers from its members concurrently, and
+// a query pinned to one object by an object= conjunct asks only the
+// member that owns it. Health probes read atomic counters and never
+// block on in-flight work.
 type Router struct {
 	cfg    Config
 	client *resilience.Client
 	hc     *http.Client
 	log    io.Writer
 
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	ix    map[string]int // source name -> index in names/agree/total
 	names []string
 	agree []float64 // cluster-cumulative settled evidence
@@ -605,29 +610,62 @@ const (
 	sourcesHeader   = "source,accuracy\n"
 )
 
+// gather fetches one body from every node concurrently and hands each
+// to emit in node order, as soon as that node and every lower-numbered
+// one have answered, then drops it: the router holds only the bodies
+// that arrived ahead of a slower lower-numbered node. It waits for
+// every fetch and returns the first error in node order, whether from
+// a fetch or from emit; no node after a failing one is emitted.
+func (r *Router) gather(fetch func(node int) ([]byte, error), emit func(node int, body []byte) error) error {
+	bodies := make([][]byte, len(r.cfg.Nodes))
+	done := make([]chan error, len(r.cfg.Nodes))
+	for j := range done {
+		done[j] = make(chan error, 1)
+		go func() {
+			var err error
+			bodies[j], err = fetch(j)
+			done[j] <- err
+		}()
+	}
+	var first error
+	for j := range done {
+		err := <-done[j]
+		if first == nil && err == nil {
+			err = emit(j, bodies[j])
+		}
+		bodies[j] = nil
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Estimates scatter-gathers GET /estimates and writes the merged CSV:
 // node bodies concatenated in partition order with the header kept
 // once — exactly the shard-major order a single engine with one shard
 // per node emits, so the merged bytes match the single-engine output.
+// The bodies are fetched concurrently and written as gather releases
+// them.
 func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, node := range r.cfg.Nodes {
-		body, err := r.get(ctx, node+"/v1/estimates")
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.gather(func(j int) ([]byte, error) {
+		body, err := r.get(ctx, r.cfg.Nodes[j]+"/v1/estimates")
 		if err != nil {
-			return fmt.Errorf("cluster: partition %d estimates: %w", i, err)
+			return nil, fmt.Errorf("cluster: partition %d estimates: %w", j, err)
 		}
+		return body, nil
+	}, func(j int, body []byte) error {
 		if !bytes.HasPrefix(body, []byte(estimatesHeader)) {
-			return fmt.Errorf("cluster: partition %d returned an unexpected /estimates header", i)
+			return fmt.Errorf("cluster: partition %d returned an unexpected /estimates header", j)
 		}
-		if i > 0 {
+		if j > 0 {
 			body = body[len(estimatesHeader):]
 		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := w.Write(body)
+		return err
+	})
 }
 
 // Sources scatter-gathers GET /sources and writes the cluster-wide
@@ -637,16 +675,18 @@ func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
 // merged verbatim, and a source reported with two different
 // accuracies is a protocol error (the apply push keeps them equal).
 func (r *Router) Sources(ctx context.Context, w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	rows := map[string]string{}
-	for i, node := range r.cfg.Nodes {
-		body, err := r.get(ctx, node+"/v1/sources")
+	err := r.gather(func(j int) ([]byte, error) {
+		body, err := r.get(ctx, r.cfg.Nodes[j]+"/v1/sources")
 		if err != nil {
-			return fmt.Errorf("cluster: partition %d sources: %w", i, err)
+			return nil, fmt.Errorf("cluster: partition %d sources: %w", j, err)
 		}
+		return body, nil
+	}, func(j int, body []byte) error {
 		if !bytes.HasPrefix(body, []byte(sourcesHeader)) {
-			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", i)
+			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", j)
 		}
 		for _, line := range strings.Split(strings.TrimRight(string(body[len(sourcesHeader):]), "\n"), "\n") {
 			if line == "" {
@@ -654,13 +694,17 @@ func (r *Router) Sources(ctx context.Context, w io.Writer) error {
 			}
 			name, _, ok := strings.Cut(line, ",")
 			if !ok {
-				return fmt.Errorf("cluster: partition %d returned a malformed /sources row %q", i, line)
+				return fmt.Errorf("cluster: partition %d returned a malformed /sources row %q", j, line)
 			}
 			if prev, dup := rows[name]; dup && prev != line {
 				return fmt.Errorf("cluster: source %q diverged across partitions (%q vs %q)", name, prev, line)
 			}
 			rows[name] = line
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	names := make([]string, 0, len(rows))
 	for name := range rows {
@@ -673,7 +717,7 @@ func (r *Router) Sources(ctx context.Context, w io.Writer) error {
 		buf.WriteString(rows[name])
 		buf.WriteByte('\n')
 	}
-	_, err := w.Write(buf.Bytes())
+	_, err = w.Write(buf.Bytes())
 	return err
 }
 

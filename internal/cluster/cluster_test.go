@@ -32,6 +32,8 @@ type fakeNode struct {
 	applies  []epochRequest
 	failObs  int // fail this many /observe requests with 500 first
 	checkpts int
+	reads    []string // GET /estimates raw queries, in arrival order
+	label    string   // object name of the one row plain /estimates serves
 }
 
 func (f *fakeNode) handler() http.Handler {
@@ -98,6 +100,21 @@ func (f *fakeNode) handler() http.Handler {
 		f.checkpts++
 		f.mu.Unlock()
 		fmt.Fprintln(w, `{}`)
+	})
+	mux.HandleFunc("GET /v1/estimates", func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.reads = append(f.reads, r.URL.RawQuery)
+		f.mu.Unlock()
+		if r.URL.RawQuery == "" {
+			fmt.Fprint(w, estimatesHeader)
+			if f.label != "" {
+				fmt.Fprintf(w, "%s,v,0.5000\n", f.label)
+			}
+		}
+		// Queried reads answer with no NDJSON rows.
+	})
+	mux.HandleFunc("GET /v1/sources", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, sourcesHeader+"s0,0.5000\n")
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"status":"ok"}`)

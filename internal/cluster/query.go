@@ -1,6 +1,7 @@
 // The router half of the relational query surface: push the query to
-// every member, merge the partial results with the exact fold a single
-// N-shard engine uses. Row queries forward the query verbatim with the
+// every member (only the owning member when an object= conjunct pins
+// it), merge the partial results with the exact fold a single N-shard
+// engine uses. Row queries forward the query verbatim with the
 // projection widened (the object key first, then the requested and
 // order columns), gather each member's NDJSON rows, and re-run the
 // order/limit/projection over the concatenation — the relation
@@ -67,31 +68,46 @@ func estimateSchema(names []string) ([]query.Column, error) {
 
 // Query scatter-gathers one relational query across the members and
 // merges the results so they match a single N-shard engine bit for
-// bit. Like Estimates, it holds the router lock for a barrier-stable
-// read.
+// bit. Like Estimates, it holds the router's read lock for a
+// barrier-stable read.
 func (r *Router) Query(ctx context.Context, q *query.Query) (*query.Result, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if q.Group != "" {
 		return r.queryGroupLocked(ctx, q)
 	}
 	return r.queryRowsLocked(ctx, q)
 }
 
-// memberQuery fetches one member's NDJSON rows for the given forward
-// parameters.
-func (r *Router) memberQuery(ctx context.Context, partition int, vals url.Values, cols []query.Column) ([][]query.Val, error) {
+// memberRows fetches the NDJSON rows of one forwarded query from the
+// members that can hold a match — only the owner when an object=
+// conjunct pins the query, every member concurrently otherwise — and
+// returns them in node order.
+func (r *Router) memberRows(ctx context.Context, q *query.Query, vals url.Values, cols []query.Column) ([][][]query.Val, error) {
 	vals.Set("format", "json")
-	node := r.cfg.Nodes[partition]
-	body, err := r.get(ctx, node+"/v1/estimates?"+vals.Encode())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: partition %d query: %w", partition, err)
+	path := "/v1/estimates?" + vals.Encode()
+	fetch := func(j int) ([][]query.Val, error) {
+		body, err := r.get(ctx, r.cfg.Nodes[j]+path)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: partition %d query: %w", j, err)
+		}
+		rows, err := query.ReadNDJSON(bytes.NewReader(body), cols)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: partition %d query: %w", j, err)
+		}
+		return rows, nil
 	}
-	rows, err := query.ReadNDJSON(bytes.NewReader(body), cols)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: partition %d query: %w", partition, err)
+	if obj, ok := q.PointObject(); ok {
+		rows, err := fetch(r.Partition(obj))
+		return [][][]query.Val{rows}, err
 	}
-	return rows, nil
+	parts := make([][][]query.Val, len(r.cfg.Nodes))
+	err := r.fanOut(func(j int) error {
+		var err error
+		parts[j], err = fetch(j)
+		return err
+	})
+	return parts, err
 }
 
 // queryRowsLocked runs a non-group query: members apply the
@@ -104,12 +120,12 @@ func (r *Router) queryRowsLocked(ctx context.Context, q *query.Query) (*query.Re
 	if err != nil {
 		return nil, err
 	}
+	parts, err := r.memberRows(ctx, q, q.Values(member), cols)
+	if err != nil {
+		return nil, err
+	}
 	rel := &query.Relation{Cols: cols}
-	for i := range r.cfg.Nodes {
-		rows, err := r.memberQuery(ctx, i, q.Values(member), cols)
-		if err != nil {
-			return nil, err
-		}
+	for _, rows := range parts {
 		rel.Rows = append(rel.Rows, rows...)
 	}
 	merge := &query.Query{Order: q.Order, Limit: q.Limit, Cols: final}
@@ -127,15 +143,11 @@ func (r *Router) queryGroupLocked(ctx context.Context, q *query.Query) (*query.R
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][][]query.Val, len(r.cfg.Nodes))
-	for i := range r.cfg.Nodes {
-		vals := q.Values(nil)
-		vals.Set("partial", "1")
-		rows, err := r.memberQuery(ctx, i, vals, pcols)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = rows
+	vals := q.Values(nil)
+	vals.Set("partial", "1")
+	parts, err := r.memberRows(ctx, q, vals, pcols)
+	if err != nil {
+		return nil, err
 	}
 	res, err := query.MergePartials(q, parts)
 	if err != nil {

@@ -1,11 +1,11 @@
 // The query executor. Engine-backed execution pushes predicates into
-// the per-shard scans (object-equality conjuncts prune to a single
-// shard; the disagree pair resolves to interned ids checked during
-// the locked scan) and keeps only bounded state per shard: a top-k
-// buffer when the query has a limit, group partials when it
-// aggregates. The per-shard results then compose lazily — a k-way
-// merge under the query's total order, a projection at yield time —
-// so the full estimate set is never materialized.
+// the per-shard scans (an object-equality conjunct prunes to a single
+// shard and probes its name index; the disagree pair resolves to
+// interned ids checked during the locked scan) and keeps only bounded
+// state per shard: a top-k buffer when the query has a limit, group
+// partials when it aggregates. The per-shard results then compose
+// lazily — a k-way merge under the query's total order, a projection
+// at yield time — so the full estimate set is never materialized.
 //
 // Determinism contract: every result is totally ordered (the order
 // keys, then the object name / the remaining columns), group
@@ -19,6 +19,7 @@ package query
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,17 +52,46 @@ type Relation struct {
 	Rows [][]Val
 }
 
+// opCode is a compiled comparison operator.
+type opCode uint8
+
+const (
+	opEq opCode = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+func compileOp(op string) opCode {
+	switch op {
+	case "=":
+		return opEq
+	case "!=":
+		return opNe
+	case "<":
+		return opLt
+	case "<=":
+		return opLe
+	case ">":
+		return opGt
+	default:
+		return opGe
+	}
+}
+
 // condP is a compiled where conjunct.
 type condP struct {
 	ix   int
 	kind Kind
-	op   string
+	op   opCode
 	str  string
 	num  float64
 }
 
 func (c *condP) evalStr(s string) bool {
-	if c.op == "=" {
+	if c.op == opEq {
 		return s == c.str
 	}
 	return s != c.str
@@ -69,18 +99,75 @@ func (c *condP) evalStr(s string) bool {
 
 func (c *condP) evalNum(f float64) bool {
 	switch c.op {
-	case "=":
+	case opEq:
 		return f == c.num
-	case "!=":
+	case opNe:
 		return f != c.num
-	case "<":
+	case opLt:
 		return f < c.num
-	case "<=":
+	case opLe:
 		return f <= c.num
-	case ">":
+	case opGt:
 		return f > c.num
 	default:
 		return f >= c.num
+	}
+}
+
+// aggCode is a compiled aggregate function.
+type aggCode uint8
+
+const (
+	aggCount aggCode = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+func compileAgg(fn string) aggCode {
+	switch fn {
+	case "count":
+		return aggCount
+	case "avg":
+		return aggAvg
+	case "min":
+		return aggMin
+	case "max":
+		return aggMax
+	default:
+		return aggSum
+	}
+}
+
+// aggP is a compiled aggregate.
+type aggP struct {
+	fn   aggCode
+	ix   int    // aggregated column, -1 for count
+	kind Kind   // accumulator kind
+	name string // output column name
+}
+
+// step folds v into the accumulator a in place: sum and avg add,
+// min and max keep the extremum. Int accumulators stay exact; float
+// addition order is fixed by the caller (slot order within a shard,
+// shard/member order across).
+func (fn aggCode) step(a *Val, v Val) {
+	switch fn {
+	case aggMin:
+		if v.num() < a.num() {
+			*a = v
+		}
+	case aggMax:
+		if v.num() > a.num() {
+			*a = v
+		}
+	default:
+		if a.Kind == KindInt {
+			a.Int += v.Int
+		} else {
+			a.Num += v.Num
+		}
 	}
 }
 
@@ -93,27 +180,34 @@ type orderP struct {
 
 // plan is a query compiled against a concrete relation schema.
 type plan struct {
-	cols     []Column
-	conds    []condP
-	order    []orderP
-	proj     []int
-	limit    int    // group-path row cap (rows honor Query.Limit directly)
-	groupIx  int    // -1 when not grouping
-	aggIx    []int  // aggregated column per agg (-1 for count)
-	accKinds []Kind // accumulator kind per agg
-	aggs     []Agg
+	cols    []Column
+	conds   []condP
+	order   []orderP
+	proj    []int
+	limit   int  // group-path row cap (rows honor Query.Limit directly)
+	pair    bool // rows must have the disagree pair disagreeing
+	groupIx int  // -1 when not grouping
+	aggs    []aggP
 }
 
-// compile resolves a parsed query's column names against a schema.
+// colIndex finds a column by name; relations are a handful of columns
+// wide, so a scan beats building a map per query.
+func colIndex(cols []Column, name string) (int, bool) {
+	for i := range cols {
+		if cols[i].Name == name {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// compile resolves a parsed query's column names against a schema and
+// turns operators and aggregate functions into codes once per query.
 // defaultProj is used when the query has no explicit projection.
 func compile(q *Query, cols []Column, defaultProj []int) (*plan, error) {
-	ix := make(map[string]int, len(cols))
-	for i, c := range cols {
-		ix[c.Name] = i
-	}
-	p := &plan{cols: cols, groupIx: -1, limit: q.Limit}
+	p := &plan{cols: cols, groupIx: -1, limit: q.Limit, pair: q.DisA != ""}
 	for _, c := range q.Where {
-		i, ok := ix[c.Col]
+		i, ok := colIndex(cols, c.Col)
 		if !ok {
 			return nil, fmt.Errorf("where: relation has no column %q", c.Col)
 		}
@@ -121,37 +215,35 @@ func compile(q *Query, cols []Column, defaultProj []int) (*plan, error) {
 		if (kind == KindString) == c.num {
 			return nil, fmt.Errorf("where: column %q type mismatch", c.Col)
 		}
-		p.conds = append(p.conds, condP{ix: i, kind: kind, op: c.Op, str: c.Str, num: c.Num})
+		p.conds = append(p.conds, condP{ix: i, kind: kind, op: compileOp(c.Op), str: c.Str, num: c.Num})
 	}
 	for _, k := range q.Order {
-		i, ok := ix[k.Col]
+		i, ok := colIndex(cols, k.Col)
 		if !ok {
 			return nil, fmt.Errorf("order: relation has no column %q", k.Col)
 		}
 		p.order = append(p.order, orderP{ix: i, kind: cols[i].Kind, desc: k.Desc})
 	}
 	if q.Group != "" {
-		gi, ok := ix[q.Group]
+		gi, ok := colIndex(cols, q.Group)
 		if !ok {
 			return nil, fmt.Errorf("group: relation has no column %q", q.Group)
 		}
 		p.groupIx = gi
-		p.aggs = q.Aggs
+		p.aggs = make([]aggP, 0, len(q.Aggs))
 		for _, a := range q.Aggs {
-			if a.Fn == "count" {
-				p.aggIx = append(p.aggIx, -1)
-				p.accKinds = append(p.accKinds, KindInt)
-				continue
+			ap := aggP{fn: compileAgg(a.Fn), ix: -1, kind: KindInt, name: a.Name()}
+			if ap.fn != aggCount {
+				ai, okA := colIndex(cols, a.Col)
+				if !okA {
+					return nil, fmt.Errorf("agg: relation has no column %q", a.Col)
+				}
+				if cols[ai].Kind == KindString {
+					return nil, fmt.Errorf("agg: column %q is a string", a.Col)
+				}
+				ap.ix, ap.kind = ai, cols[ai].Kind
 			}
-			ai, okA := ix[a.Col]
-			if !okA {
-				return nil, fmt.Errorf("agg: relation has no column %q", a.Col)
-			}
-			if cols[ai].Kind == KindString {
-				return nil, fmt.Errorf("agg: column %q is a string", a.Col)
-			}
-			p.aggIx = append(p.aggIx, ai)
-			p.accKinds = append(p.accKinds, cols[ai].Kind)
+			p.aggs = append(p.aggs, ap)
 		}
 		return p, nil
 	}
@@ -159,7 +251,7 @@ func compile(q *Query, cols []Column, defaultProj []int) (*plan, error) {
 		p.proj = defaultProj
 	} else {
 		for _, name := range q.Cols {
-			i, ok := ix[name]
+			i, ok := colIndex(cols, name)
 			if !ok {
 				return nil, fmt.Errorf("cols: relation has no column %q", name)
 			}
@@ -183,12 +275,12 @@ func (p *plan) projCols() []Column {
 // rest inherit the aggregated column's kind).
 func (p *plan) groupCols() []Column {
 	out := []Column{p.cols[p.groupIx]}
-	for i, a := range p.aggs {
-		kind := p.accKinds[i]
-		if a.Fn == "avg" {
+	for _, a := range p.aggs {
+		kind := a.kind
+		if a.fn == aggAvg {
 			kind = KindFloat
 		}
-		out = append(out, Column{Name: a.Name(), Kind: kind})
+		out = append(out, Column{Name: a.name, Kind: kind})
 	}
 	return out
 }
@@ -230,8 +322,8 @@ func estRowNum(r *stream.Row, ix int) float64 {
 
 // matchRow evaluates the compiled conjuncts (and the disagree gate)
 // against a borrowed scan row.
-func (p *plan) matchRow(r *stream.Row, pair bool) bool {
-	if pair && !r.Disagree {
+func (p *plan) matchRow(r *stream.Row) bool {
+	if p.pair && !r.Disagree {
 		return false
 	}
 	for i := range p.conds {
@@ -286,21 +378,31 @@ func (p *plan) projectRow(r *stream.Row, out []Val) {
 	}
 }
 
-// shardList applies the one structural pushdown the hash layout
-// allows: an object-equality conjunct pins the query to a single
-// shard, so the other shards are never even snapshotted.
-func shardList(eng *stream.Engine, q *Query) []int {
-	n := eng.NumShards()
-	for _, c := range q.Where {
-		if c.Col == "object" && c.Op == "=" {
-			return []int{stream.ShardIndex(c.Str, n)}
+// pushdown resolves the scan half of an engine query: the shards to
+// scan and the options each scan runs with. An object-equality
+// conjunct pins the query to the one shard that can hold the object
+// and turns that shard's scan into an index probe; the disagree pair
+// resolves to interned ids. ok is false when one of the pair has never
+// been seen, so no row can have them disagreeing.
+func pushdown(eng *stream.Engine, q *Query) (shards []int, opt stream.ScanOptions, ok bool) {
+	opt = stream.NoPair
+	if q.DisA != "" {
+		ia, ib, known := eng.SourceIDs(q.DisA, q.DisB)
+		if !known {
+			return nil, opt, false
 		}
+		opt.PairA, opt.PairB = ia, ib
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	n := eng.NumShards()
+	if obj, pinned := q.PointObject(); pinned {
+		opt.Object = obj
+		return []int{stream.ShardIndex(obj, n)}, opt, true
 	}
-	return all
+	shards = make([]int, n)
+	for i := range shards {
+		shards[i] = i
+	}
+	return shards, opt, true
 }
 
 // Execute runs a compiled query against a live engine. Safe to call
@@ -311,36 +413,16 @@ func Execute(eng *stream.Engine, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := stream.NoPair
-	pair := false
-	if q.DisA != "" {
-		ia, ib, ok := eng.SourceIDs(q.DisA, q.DisB)
-		if !ok {
-			// One of the pair has never been seen: no row can have
-			// them disagreeing.
-			return emptyResult(p), nil
-		}
-		opt.PairA, opt.PairB = ia, ib
-		pair = true
+	shards, opt, ok := pushdown(eng, q)
+	if !ok {
+		return emptyResult(p), nil
 	}
-	shards := shardList(eng, q)
 	if p.groupIx >= 0 {
-		global := newGroupTable(p)
-		for _, s := range shards {
-			local := newGroupTable(p)
-			eng.ScanShard(s, opt, func(r *stream.Row) bool {
-				if p.matchRow(r, pair) {
-					local.addRow(p, r)
-				}
-				return true
-			})
-			global.fold(p, local)
-		}
-		return global.finalize(p), nil
+		return p.groupScan(eng, shards, opt).finalize(p), nil
 	}
 	parts := make([][]stream.Row, len(shards))
 	for i, s := range shards {
-		parts[i] = collectShard(eng, s, p, opt, pair, q.Limit)
+		parts[i] = collectShard(eng, s, p, opt, q.Limit)
 	}
 	return &Result{Cols: p.projCols(), Rows: p.mergeRows(parts, q.Limit)}, nil
 }
@@ -358,28 +440,28 @@ func ExecutePartial(eng *stream.Engine, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := stream.NoPair
-	pair := false
-	if q.DisA != "" {
-		ia, ib, ok := eng.SourceIDs(q.DisA, q.DisB)
-		if !ok {
-			return &Result{Cols: p.partialCols(), Rows: func(func([]Val) bool) {}}, nil
-		}
-		opt.PairA, opt.PairB = ia, ib
-		pair = true
+	shards, opt, ok := pushdown(eng, q)
+	if !ok {
+		return &Result{Cols: p.partialCols(), Rows: func(func([]Val) bool) {}}, nil
 	}
-	global := newGroupTable(p)
-	for _, s := range shardList(eng, q) {
-		local := newGroupTable(p)
+	return p.groupScan(eng, shards, opt).partial(p), nil
+}
+
+// groupScan aggregates the matching rows of each shard into a local
+// table and folds the tables in shard order.
+func (p *plan) groupScan(eng *stream.Engine, shards []int, opt stream.ScanOptions) *groupTable {
+	global := newGroupTable()
+	for _, s := range shards {
+		local := newGroupTable()
 		eng.ScanShard(s, opt, func(r *stream.Row) bool {
-			if p.matchRow(r, pair) {
+			if p.matchRow(r) {
 				local.addRow(p, r)
 			}
 			return true
 		})
 		global.fold(p, local)
 	}
-	return global.partial(p), nil
+	return global
 }
 
 // collectShard scans one shard with the predicates pushed down,
@@ -387,14 +469,14 @@ func ExecutePartial(eng *stream.Engine, q *Query) (*Result, error) {
 // sorted and cut back to the limit every time it reaches a small
 // multiple of it, so a selective query over a huge shard allocates
 // O(limit), not O(shard).
-func collectShard(eng *stream.Engine, s int, p *plan, opt stream.ScanOptions, pair bool, limit int) []stream.Row {
+func collectShard(eng *stream.Engine, s int, p *plan, opt stream.ScanOptions, limit int) []stream.Row {
 	var buf []stream.Row
 	cut := 0
 	if limit > 0 {
 		cut = 4*limit + 16
 	}
 	eng.ScanShard(s, opt, func(r *stream.Row) bool {
-		if !p.matchRow(r, pair) {
+		if !p.matchRow(r) {
 			return true
 		}
 		buf = append(buf, *r)
@@ -462,14 +544,51 @@ type groupAcc struct {
 	accs  []Val
 }
 
+// probeGroups is how many groups a table finds by a linear scan
+// before it builds a map. Group-bys over values or claim counts stay
+// under it; for those, a map-only table made BenchmarkQueryGroup
+// about 1.5× slower. Past it the map takes over, and
+// BenchmarkQueryGroupMany runs no slower than a map-only table. The
+// value 8 is not tuned.
+const probeGroups = 8
+
 // groupTable accumulates groups for one scan scope (a shard, or a
-// fold of shards/members).
+// fold of shards/members). Lookups use Go == on Val, through the map
+// past probeGroups groups, so both paths share the map's key
+// semantics (NaN never matches, -0 matches +0).
 type groupTable struct {
-	m map[Val]*groupAcc
+	accs []*groupAcc // in insertion order
+	m    map[Val]*groupAcc
 }
 
-func newGroupTable(p *plan) *groupTable {
-	return &groupTable{m: make(map[Val]*groupAcc)}
+func newGroupTable() *groupTable {
+	return &groupTable{accs: make([]*groupAcc, 0, probeGroups)}
+}
+
+func (g *groupTable) find(key Val) *groupAcc {
+	if g.m != nil {
+		return g.m[key]
+	}
+	for _, acc := range g.accs {
+		if acc.key == key {
+			return acc
+		}
+	}
+	return nil
+}
+
+func (g *groupTable) insert(acc *groupAcc) {
+	g.accs = append(g.accs, acc)
+	if g.m != nil {
+		g.m[acc.key] = acc
+		return
+	}
+	if len(g.accs) > probeGroups {
+		g.m = make(map[Val]*groupAcc, 2*len(g.accs))
+		for _, a := range g.accs {
+			g.m[a.key] = a
+		}
+	}
 }
 
 func colVal(cols []Column, ix int, r *stream.Row) Val {
@@ -486,50 +605,40 @@ func colVal(cols []Column, ix int, r *stream.Row) Val {
 // addRow folds one estimate row into the table.
 func (g *groupTable) addRow(p *plan, r *stream.Row) {
 	key := colVal(p.cols, p.groupIx, r)
-	acc := g.m[key]
+	acc := g.find(key)
 	if acc == nil {
 		acc = &groupAcc{key: key, count: 1, accs: make([]Val, len(p.aggs))}
-		for i, ix := range p.aggIx {
-			if ix >= 0 {
+		for i := range p.aggs {
+			if ix := p.aggs[i].ix; ix >= 0 {
 				acc.accs[i] = colVal(p.cols, ix, r)
 			} else {
 				acc.accs[i] = Val{Kind: KindInt}
 			}
 		}
-		g.m[key] = acc
+		g.insert(acc)
 		return
 	}
 	acc.count++
-	for i, ix := range p.aggIx {
-		if ix >= 0 {
-			acc.accs[i] = combine(p.aggs[i].Fn, acc.accs[i], colVal(p.cols, ix, r))
+	for i := range p.aggs {
+		if a := &p.aggs[i]; a.ix >= 0 {
+			a.fn.step(&acc.accs[i], colVal(p.cols, a.ix, r))
 		}
 	}
 }
 
-// combine merges a new value (or a partial) into an accumulator.
-// sum and avg add; min/max keep the extremum. Int accumulators stay
-// exact; float addition order is fixed by the caller (slot order
-// within a shard, shard/member order across).
-func combine(fn string, a, b Val) Val {
-	switch fn {
-	case "min":
-		if b.num() < a.num() {
-			return b
+// merge folds a partial group (one shard's or one member's) into g,
+// adopting it when g has no group with its key.
+func (g *groupTable) merge(p *plan, part *groupAcc) {
+	acc := g.find(part.key)
+	if acc == nil {
+		g.insert(part)
+		return
+	}
+	acc.count += part.count
+	for i := range p.aggs {
+		if p.aggs[i].ix >= 0 {
+			p.aggs[i].fn.step(&acc.accs[i], part.accs[i])
 		}
-		return a
-	case "max":
-		if b.num() > a.num() {
-			return b
-		}
-		return a
-	default: // sum, avg
-		if a.Kind == KindInt {
-			a.Int += b.Int
-			return a
-		}
-		a.Num += b.Num
-		return a
 	}
 }
 
@@ -538,30 +647,16 @@ func combine(fn string, a, b Val) Val {
 // float addition tree is "partial per scope, folded in scope order" —
 // identical for a single N-shard engine and an N-member cluster.
 func (g *groupTable) fold(p *plan, local *groupTable) {
-	for key, la := range local.m {
-		acc := g.m[key]
-		if acc == nil {
-			g.m[key] = la
-			continue
-		}
-		acc.count += la.count
-		for i, a := range p.aggs {
-			if p.aggIx[i] >= 0 {
-				acc.accs[i] = combine(a.Fn, acc.accs[i], la.accs[i])
-			}
-		}
+	for _, la := range local.accs {
+		g.merge(p, la)
 	}
 }
 
-// sortedAccs returns the groups sorted by key ascending — the fixed
-// output (and partial emission) order.
+// sortedAccs sorts the groups by key ascending — the fixed output
+// (and partial emission) order — and returns them.
 func (g *groupTable) sortedAccs() []*groupAcc {
-	out := make([]*groupAcc, 0, len(g.m))
-	for _, acc := range g.m {
-		out = append(out, acc)
-	}
-	sort.Slice(out, func(i, j int) bool { return cmpVal(out[i].key, out[j].key) < 0 })
-	return out
+	slices.SortFunc(g.accs, func(a, b *groupAcc) int { return cmpVal(a.key, b.key) })
+	return g.accs
 }
 
 // cmpVal orders two cells of the same column.
@@ -587,10 +682,10 @@ func (g *groupTable) finalize(p *plan) *Result {
 		for _, acc := range accs {
 			out[0] = acc.key
 			for i, a := range p.aggs {
-				switch a.Fn {
-				case "count":
+				switch a.fn {
+				case aggCount:
 					out[i+1] = Val{Kind: KindInt, Int: acc.count}
-				case "avg":
+				case aggAvg:
 					out[i+1] = Val{Kind: KindFloat, Num: acc.accs[i].num() / float64(acc.count)}
 				default:
 					out[i+1] = acc.accs[i]
@@ -608,8 +703,8 @@ func (g *groupTable) finalize(p *plan) *Result {
 // key, the count, then one raw accumulator per aggregate.
 func (p *plan) partialCols() []Column {
 	cols := []Column{p.cols[p.groupIx], {Name: "count", Kind: KindInt}}
-	for i, a := range p.aggs {
-		cols = append(cols, Column{Name: "acc:" + a.Name(), Kind: p.accKinds[i]})
+	for _, a := range p.aggs {
+		cols = append(cols, Column{Name: "acc:" + a.name, Kind: a.kind})
 	}
 	return cols
 }
@@ -657,25 +752,13 @@ func MergePartials(q *Query, members [][][]Val) (*Result, error) {
 	if p.groupIx < 0 {
 		return nil, fmt.Errorf("partial: not a group query")
 	}
-	global := newGroupTable(p)
+	global := newGroupTable()
 	for _, rows := range members {
 		for _, row := range rows {
 			if len(row) != 2+len(p.aggs) {
 				return nil, fmt.Errorf("partial: row has %d cells, want %d", len(row), 2+len(p.aggs))
 			}
-			key := row[0]
-			acc := global.m[key]
-			if acc == nil {
-				acc = &groupAcc{key: key, count: row[1].Int, accs: append([]Val(nil), row[2:]...)}
-				global.m[key] = acc
-				continue
-			}
-			acc.count += row[1].Int
-			for i, a := range p.aggs {
-				if p.aggIx[i] >= 0 {
-					acc.accs[i] = combine(a.Fn, acc.accs[i], row[2+i])
-				}
-			}
+			global.merge(p, &groupAcc{key: row[0], count: row[1].Int, accs: append([]Val(nil), row[2:]...)})
 		}
 	}
 	return global.finalize(p), nil

@@ -144,6 +144,18 @@ func (q *Query) IsPlain() bool {
 		len(q.Cols) == 0 && q.Group == "" && q.DisA == ""
 }
 
+// PointObject reports the object an object-equality conjunct pins the
+// query to (the first such conjunct). Only the one shard — or cluster
+// member — that owns that object can hold a matching row.
+func (q *Query) PointObject() (string, bool) {
+	for _, c := range q.Where {
+		if c.Col == "object" && c.Op == "=" {
+			return c.Str, true
+		}
+	}
+	return "", false
+}
+
 // transportKeys are URL parameters the query language shares the
 // namespace with but does not interpret: output format selection and
 // the cluster's internal partial-aggregate flag.

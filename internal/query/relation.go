@@ -38,7 +38,7 @@ func ExecuteRelation(rel *Relation, q *Query) (*Result, error) {
 		}
 	}
 	if p.groupIx >= 0 {
-		table := newGroupTable(p)
+		table := newGroupTable()
 		for _, row := range rows {
 			table.addVals(p, row)
 		}
@@ -102,23 +102,23 @@ func (p *plan) cmpVals(a, b []Val) int {
 // addVals folds one relation row into a group table.
 func (g *groupTable) addVals(p *plan, row []Val) {
 	key := row[p.groupIx]
-	acc := g.m[key]
+	acc := g.find(key)
 	if acc == nil {
 		acc = &groupAcc{key: key, count: 1, accs: make([]Val, len(p.aggs))}
-		for i, ix := range p.aggIx {
-			if ix >= 0 {
+		for i := range p.aggs {
+			if ix := p.aggs[i].ix; ix >= 0 {
 				acc.accs[i] = row[ix]
 			} else {
 				acc.accs[i] = Val{Kind: KindInt}
 			}
 		}
-		g.m[key] = acc
+		g.insert(acc)
 		return
 	}
 	acc.count++
-	for i, ix := range p.aggIx {
-		if ix >= 0 {
-			acc.accs[i] = combine(p.aggs[i].Fn, acc.accs[i], row[ix])
+	for i := range p.aggs {
+		if a := &p.aggs[i]; a.ix >= 0 {
+			a.fn.step(&acc.accs[i], row[a.ix])
 		}
 	}
 }

@@ -4,8 +4,11 @@
 // the full relational view (MAP value, confidence, contestedness,
 // flip epoch, claim counts) computed in place from the dense slabs, so
 // a selective query never materializes an Estimate slice the way
-// EstimateAll does. Predicate pushdown lives one level up: the query
-// executor decides which shards to scan (ShardIndex pruning on object
+// EstimateAll does. Two predicates are pushed into the scan itself:
+// an object key (ScanOptions.Object) turns the slot walk into one
+// probe of the shard's name index, and a disagree pair is checked
+// against the claim list while the row is filled. The query executor
+// above decides which shards to scan (ShardIndex pruning on object
 // equality) and which rows to keep; this file only guarantees that a
 // shard scan is one RLock, zero allocations, and deterministic slot
 // order.
@@ -31,6 +34,12 @@ type ScanOptions struct {
 	// PairA/PairB are interned source ids (from SourceIDs) driving
 	// Row.Disagree; -1 disables the pair check.
 	PairA, PairB int
+
+	// Object, when set, restricts the scan to the live object of that
+	// name, found through the shard's name index: at most one row is
+	// visited, and none when the object lives in another shard, was
+	// evicted, or was never seen.
+	Object string
 }
 
 // NoPair is the ScanOptions zero state with the disagree pair off.
@@ -64,17 +73,26 @@ func (e *Engine) CurrentEpoch() int64 {
 
 // ScanShard visits every live object in shard s in slot order
 // (deterministic for a fixed shard count), filling and passing one
-// reused Row. Returning false from visit stops the scan. The visit
-// callback runs under the shard's read lock: it must not retain the
-// *Row (copy it), must not block, and must not call back into the
-// engine's write paths.
+// reused Row; with opt.Object set it visits only that object's slot.
+// Returning false from visit stops the scan. The visit callback runs
+// under the shard's read lock: it must not retain the *Row (copy it),
+// must not block, and must not call back into the engine's write
+// paths.
 func (e *Engine) ScanShard(s int, opt ScanOptions, visit func(*Row) bool) {
 	sh := &e.shards[s]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	valNames := e.valueNames()
+	lo, hi := 0, len(sh.objs)
+	if opt.Object != "" {
+		ix, ok := sh.index[opt.Object]
+		if !ok {
+			return
+		}
+		lo, hi = ix, ix+1
+	}
 	var row Row
-	for ix := range sh.objs {
+	for ix := lo; ix < hi; ix++ {
 		obj := &sh.objs[ix]
 		if !obj.live || obj.mapIx < 0 {
 			continue

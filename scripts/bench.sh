@@ -1,7 +1,7 @@
 #!/bin/sh
 # bench.sh [output.json] — run the core micro-benchmarks, the
-# checkpoint encode benchmark, and the end-to-end HTTP serving and
-# cluster ingest benchmarks with -benchmem and write a JSON
+# checkpoint encode benchmark, the query benchmarks, and the end-to-end
+# HTTP serving and cluster ingest benchmarks with -benchmem and write a JSON
 # snapshot (name, iterations, ns/op, B/op, allocs/op and any custom
 # b.ReportMetric columns such as req/s and p99) used to track the
 # performance trajectory across PRs. Compare two snapshots with
@@ -18,9 +18,9 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkServeHTTP|BenchmarkClusterIngest|BenchmarkMetricsScrape|BenchmarkCheckpointWrite)$' \
+	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkServeHTTP|BenchmarkClusterIngest|BenchmarkMetricsScrape|BenchmarkCheckpointWrite|BenchmarkQueryTop10Contested|BenchmarkEstimateAll|BenchmarkQueryPoint|BenchmarkQueryGroup|BenchmarkQueryGroupMany)$' \
 	-benchmem \
-	. ./cmd/slimfast ./internal/obs ./internal/stream | tee "$TMP"
+	. ./cmd/slimfast ./internal/obs ./internal/stream ./internal/query | tee "$TMP"
 
 {
 	printf '{\n'
