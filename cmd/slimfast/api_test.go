@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -48,7 +49,7 @@ func TestErrorEnvelopeMapping(t *testing.T) {
 		http.StatusInternalServerError:   "internal",
 	} {
 		rec := httptest.NewRecorder()
-		httpErrorTo(rec, io.Discard, status, "boom")
+		httpErrorLog(rec, slog.New(slog.DiscardHandler), status, "boom")
 		if got := decodeEnvelope(t, rec); got != want {
 			t.Errorf("status %d code = %q, want %q", status, got, want)
 		}
@@ -113,8 +114,9 @@ func TestErrorEnvelopeEndpoints(t *testing.T) {
 		wantCode string
 	}{"saturated readyz", satRec, 503, "shed"})
 
-	// 500/internal: a poisoned request through the panic recoverer.
-	panicH := recoverPanicsTo(io.Discard, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	// 500/internal: a poisoned request through the middleware's panic
+	// recovery.
+	panicH := plain.ins.middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("poisoned")
 	}))
 	cases = append(cases, struct {
@@ -161,11 +163,6 @@ func TestServeQueryLanguageAndNegotiation(t *testing.T) {
 	}
 	if !strings.HasPrefix(plain.Body.String(), "object,value,confidence\n") {
 		t.Errorf("plain body:\n%s", plain.Body)
-	}
-
-	// The unversioned path is an alias: byte-identical answers.
-	if got := doReq(t, h, "GET", "/estimates?order=object&limit=2", "", "").Body.String(); got != doReq(t, h, "GET", "/v1/estimates?order=object&limit=2", "", "").Body.String() {
-		t.Error("unversioned alias diverges from /v1")
 	}
 
 	// Accept negotiation selects NDJSON; ?format=json is equivalent.
@@ -343,31 +340,5 @@ func TestRouterQueryGoldenEquivalence(t *testing.T) {
 	rec = doReq(t, rs.handler(), "GET", "/v1/features", "", "")
 	if rec.Code != http.StatusConflict || decodeEnvelope(t, rec) != "conflict" {
 		t.Errorf("router features without learner = %d: %s", rec.Code, rec.Body)
-	}
-}
-
-// TestRouterFeaturesRelay: with a feature-mode member in the cluster,
-// GET /v1/features on the router relays its weight table.
-func TestRouterFeaturesRelay(t *testing.T) {
-	opts := stream.DefaultEngineOptions()
-	opts.Shards = 1
-	opts.EpochLength = stream.ExternalEpochLength
-	opts.Features = map[string][]string{"good1": {"tier=reviewed"}}
-	eng, err := stream.NewEngine(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(testServer(eng, "", 8).handler())
-	t.Cleanup(srv.Close)
-	rs := newGoldenClusterOver(t, []string{srv.URL}, 8, 16)
-	rec := doReq(t, rs.handler(), "GET", "/v1/features", "", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("router features = %d: %s", rec.Code, rec.Body)
-	}
-	if !strings.HasPrefix(rec.Body.String(), "feature,weight\n") {
-		t.Errorf("router features body:\n%s", rec.Body)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "text/csv" {
-		t.Errorf("router features content type = %q", ct)
 	}
 }

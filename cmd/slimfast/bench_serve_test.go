@@ -1,6 +1,6 @@
 // End-to-end serving benchmark: the paper's "fusion as a service"
 // story measured where users actually live — real HTTP requests
-// through streamServer.handler(), not engine method calls. The
+// through the node server's handler(), not engine method calls. The
 // sub-benchmarks drive POST /observe (NDJSON ingest batches) and
 // GET /estimates (the full live-estimate dump) under concurrent load
 // and report requests/sec and p99 latency alongside the standard

@@ -1,6 +1,6 @@
-// HTTP plumbing shared by the node server (serve.go) and the cluster
-// router (router.go): JSON responses, panic recovery, and the claim
-// body parser both ingest surfaces accept. Response-write failures (a
+// HTTP plumbing under the serving surface (surface.go): JSON
+// responses and the error envelope, format negotiation, and the claim
+// body parser both backends accept. Response-write failures (a
 // client that hung up mid-response) log through the request-scoped
 // slog logger, so the record carries the request ID, method and path
 // instead of an anonymous "# WARNING" line.
@@ -14,7 +14,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"strings"
 
 	"slimfast/internal/data"
@@ -22,20 +21,18 @@ import (
 )
 
 // writeJSONLog writes a JSON response; encode/write failures are
-// logged on log (request-scoped when called through a server's
-// writeJSON method), not dropped.
+// logged on log (request-scoped when called through the surface's
+// writeJSON method), not dropped. Every 429 and 503 the API sends is
+// retryable and says so with Retry-After.
 func writeJSONLog(w http.ResponseWriter, log *slog.Logger, code int, v any) {
+	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Warn("writing JSON response failed", slog.Any("error", err))
 	}
-}
-
-// writeJSONTo is the io.Writer form of writeJSONLog for callers with
-// no request in hand; it logs through a throwaway text logger on logw.
-func writeJSONTo(w http.ResponseWriter, logw io.Writer, code int, v any) {
-	writeJSONLog(w, newComponentLogger("text", logw, "http"), code, v)
 }
 
 // errorCode maps an HTTP status to the machine-readable code of the
@@ -67,51 +64,6 @@ func httpErrorLog(w http.ResponseWriter, log *slog.Logger, status int, msg strin
 // httpErrorCodeLog writes the error envelope with an explicit code.
 func httpErrorCodeLog(w http.ResponseWriter, log *slog.Logger, status int, code, msg string) {
 	writeJSONLog(w, log, status, map[string]any{"error": msg, "code": code})
-}
-
-// httpErrorTo is the io.Writer form of httpErrorLog.
-func httpErrorTo(w http.ResponseWriter, logw io.Writer, status int, msg string) {
-	httpErrorLog(w, newComponentLogger("text", logw, "http"), status, msg)
-}
-
-// handleBoth mounts a "METHOD /path" pattern at both its unversioned
-// path and under /v1, instrumented with the canonical /v1 route label
-// on both mounts. The /v1 form is canonical; the bare path is a
-// deprecated alias kept for one release (see README) — it counts into
-// slimfast_deprecated_requests_total and logs a structured warning.
-func handleBoth(mux *http.ServeMux, pattern string, h http.HandlerFunc, ins *instrumentor) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("handleBoth: pattern must be \"METHOD /path\"")
-	}
-	routed := ins.route("/v1"+path, h)
-	mux.HandleFunc(method+" /v1"+path, routed)
-	mux.HandleFunc(pattern, ins.deprecated(path, routed))
-}
-
-// stackTrace is the panic-site stack for the middleware's PANIC log.
-func stackTrace() []byte { return debug.Stack() }
-
-// recoverPanicsTo turns a handler panic into a logged 500 so one
-// poisoned request cannot take the connection (or a test binary) down
-// with it. The serving surfaces run the instrumentor's middleware
-// instead (same recovery, plus tracing and metrics); this standalone
-// form remains for handlers built without an instrumentor.
-func recoverPanicsTo(logw io.Writer, next http.Handler) http.Handler {
-	log := newComponentLogger("text", logw, "http")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				log.Error("PANIC recovered",
-					slog.String("method", r.Method),
-					slog.String("path", r.URL.Path),
-					slog.Any("panic", rec),
-					slog.String("stack", string(stackTrace())))
-				httpErrorLog(w, log, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
 }
 
 // negotiateFormat picks the response format for the relational read
@@ -158,11 +110,18 @@ type observation struct {
 
 // parseClaimBody streams an ingest body through add: text/csv bodies
 // use the source,object,value exchange format (header row optional),
-// anything else is parsed as NDJSON. On error, claims before the bad
-// row have already been delivered to add — the caller reports how many.
+// anything else is parsed as NDJSON. A row with an empty field is an
+// error. On error, claims before the bad row have already been
+// delivered to add — the caller reports how many.
 func parseClaimBody(body []byte, contentType string, add func(source, object, value string) error) error {
+	check := func(source, object, value string) error {
+		if source == "" || object == "" || value == "" {
+			return errEmptyClaimField
+		}
+		return add(source, object, value)
+	}
 	if strings.Contains(contentType, "csv") {
-		return data.StreamObservationsCSV(bytes.NewReader(body), add)
+		return data.StreamObservationsCSV(bytes.NewReader(body), check)
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	row := 0
@@ -174,11 +133,11 @@ func parseClaimBody(body []byte, contentType string, add func(source, object, va
 			return fmt.Errorf("ndjson row %d: %w", row+1, derr)
 		}
 		row++
-		if aerr := add(ob.Source, ob.Object, ob.Value); aerr != nil {
+		if aerr := check(ob.Source, ob.Object, ob.Value); aerr != nil {
 			return fmt.Errorf("ndjson row %d: %w", row, aerr)
 		}
 	}
 }
 
-// errEmptyClaimField is the shared validation failure for ingest rows.
+// errEmptyClaimField is the validation failure for ingest rows.
 var errEmptyClaimField = errors.New("source, object and value must all be non-empty")

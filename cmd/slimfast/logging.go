@@ -6,8 +6,8 @@
 // Two output streams coexist on purpose. The machine-readable protocol
 // lines ("# listening on ...", "# restored ...", "# shutdown ...")
 // stay bare fmt.Fprintf writes — scripts and tests grep them — while
-// diagnostics (panics, dropped response writes, deprecation warnings,
-// per-request access records) go through slog so operators can switch
+// diagnostics (panics, dropped response writes, per-request access
+// records) go through slog so operators can switch
 // the whole diagnostic stream to JSON with one flag.
 package main
 
@@ -53,26 +53,13 @@ func withLogger(ctx context.Context, l *slog.Logger) context.Context {
 
 // requestLogger resolves the request-scoped logger (request ID, method
 // and path already attached by the middleware), falling back to the
-// component logger, and — for bare handlers exercised outside the
-// middleware, as tests do — to a discard logger, never nil.
+// component logger outside a request.
 func requestLogger(ctx context.Context, fallback *slog.Logger) *slog.Logger {
 	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok {
 		return l
 	}
-	if fallback != nil {
-		return fallback
-	}
-	return slog.New(discardHandler{})
+	return fallback
 }
-
-// discardHandler is a slog.Handler that drops everything; the fallback
-// of last resort so logging is never a nil dereference.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // startPprof serves net/http/pprof on its own mux at addr — a side
 // server, so the profiling surface never mounts on the public API by

@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -31,9 +32,6 @@ type httpMetrics struct {
 	duration *obs.HistogramVec
 	// inflight is the number of requests currently inside a handler.
 	inflight *obs.Gauge
-	// deprecated counts hits on the unversioned alias paths slated for
-	// removal — the signal that it is safe to drop them.
-	deprecated *obs.CounterVec
 	// panics counts requests recovered into a 500 by the middleware.
 	panics *obs.Counter
 	// shed / timeouts / dedupReplays break the interesting non-2xx
@@ -51,7 +49,6 @@ func newHTTPMetrics(reg *obs.Registry) httpMetrics {
 		requests:     reg.CounterVec("slimfast_http_requests_total", "Completed HTTP requests by canonical route and status.", "route", "status"),
 		duration:     reg.HistogramVec("slimfast_http_request_duration_seconds", "Request latency by canonical route.", nil, "route"),
 		inflight:     reg.Gauge("slimfast_http_inflight_requests", "Requests currently being served."),
-		deprecated:   reg.CounterVec("slimfast_deprecated_requests_total", "Hits on deprecated unversioned alias paths.", "path"),
 		panics:       reg.Counter("slimfast_http_panics_total", "Handler panics recovered into 500 responses."),
 		shed:         reg.Counter("slimfast_http_shed_total", "Requests shed with 429 by the admission gate."),
 		timeouts:     reg.Counter("slimfast_http_timeouts_total", "Requests that gave up waiting for the ingest lock."),
@@ -132,7 +129,7 @@ func newInstrumentor(reg *obs.Registry, log *slog.Logger) *instrumentor {
 	return &instrumentor{met: newHTTPMetrics(reg), log: log, rids: newRIDSource()}
 }
 
-// middleware is the outermost layer on both serving surfaces: it
+// middleware is the outermost layer of the serving surface: it
 // adopts or mints the X-Request-ID, echoes it on the response, plants
 // the request-scoped logger in the context, and recovers panics into
 // logged 500s (the structured successor of the old "# PANIC" line).
@@ -154,7 +151,7 @@ func (ins *instrumentor) middleware(next http.Handler) http.Handler {
 				ins.met.panics.Inc()
 				log.Error("PANIC recovered",
 					slog.Any("panic", rec),
-					slog.String("stack", string(stackTrace())))
+					slog.String("stack", string(debug.Stack())))
 				writeJSONLog(w, log, http.StatusInternalServerError,
 					map[string]any{"error": "internal error", "code": "internal"})
 			}
@@ -191,19 +188,5 @@ func (ins *instrumentor) route(route string, h http.HandlerFunc) http.HandlerFun
 			}
 		}()
 		h(sw, r)
-	}
-}
-
-// deprecated wraps the unversioned alias mount of a route: every hit
-// increments slimfast_deprecated_requests_total{path} and logs a
-// structured warning naming the /v1 replacement, then serves normally.
-func (ins *instrumentor) deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
-	hits := ins.met.deprecated.With(path)
-	return func(w http.ResponseWriter, r *http.Request) {
-		hits.Inc()
-		requestLogger(r.Context(), ins.log).Warn("deprecated unversioned path",
-			slog.String("deprecated_path", path),
-			slog.String("use", "/v1"+path))
-		h(w, r)
 	}
 }

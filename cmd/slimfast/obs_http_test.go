@@ -13,9 +13,9 @@ import (
 	"slimfast/internal/stream"
 )
 
-// obsServer builds a streamServer over a shared registry that also
+// obsServer builds a node server over a shared registry that also
 // carries the engine instrumentation, the way runStream wires it.
-func obsServer(t *testing.T, logw io.Writer) (*streamServer, *obs.Registry) {
+func obsServer(t *testing.T, logw io.Writer) (*nodeBackend, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	eng := testEngine(t, 2)
@@ -85,37 +85,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasCounter: hitting a bare path serves normally but
-// counts into slimfast_deprecated_requests_total{path} and logs a
-// structured warning; the /v1 mount does neither.
-func TestDeprecatedAliasCounter(t *testing.T) {
-	var log bytes.Buffer
-	srv, _ := obsServer(t, &log)
-	h := srv.handler()
-
-	if rec := doReq(t, h, "GET", "/estimates", "", ""); rec.Code != http.StatusOK {
-		t.Fatalf("bare /estimates = %d", rec.Code)
-	}
-	if rec := doReq(t, h, "GET", "/v1/estimates", "", ""); rec.Code != http.StatusOK {
-		t.Fatalf("/v1/estimates = %d", rec.Code)
-	}
-	fams := scrape(t, h)
-	dep, ok := fams["slimfast_deprecated_requests_total"]
-	if !ok {
-		t.Fatal("scrape missing slimfast_deprecated_requests_total")
-	}
-	if v, ok := dep.Value("slimfast_deprecated_requests_total",
-		map[string]string{"path": "/estimates"}); !ok || v != 1 {
-		t.Errorf("deprecated counter = %v (ok=%v), want 1 (the /v1 hit must not count)", v, ok)
-	}
-	if !strings.Contains(log.String(), "deprecated unversioned path") {
-		t.Errorf("no structured deprecation warning logged:\n%s", log.String())
-	}
-	// Both mounts share the canonical route label.
-	reqs := fams["slimfast_http_requests_total"]
-	if v, _ := reqs.Value("slimfast_http_requests_total",
-		map[string]string{"route": "/v1/estimates", "status": "200"}); v != 2 {
-		t.Errorf("canonical route count = %v, want 2 (both mounts)", v)
+// TestBarePathsGone: the unversioned aliases are removed on both
+// surfaces — a bare path gets the mux's plain 404 from the node and
+// from the router, and the scrape no longer lists the deprecated-alias
+// family.
+func TestBarePathsGone(t *testing.T) {
+	srv, _ := obsServer(t, io.Discard)
+	rs := newGoldenCluster(t, 1, 8, 16)
+	for name, h := range map[string]http.Handler{"node": srv.handler(), "router": rs.handler()} {
+		if rec := doReq(t, h, "GET", "/estimates", "", ""); rec.Code != http.StatusNotFound {
+			t.Errorf("%s: bare /estimates = %d, want 404", name, rec.Code)
+		}
+		if rec := doReq(t, h, "GET", "/v1/estimates", "", ""); rec.Code != http.StatusOK {
+			t.Errorf("%s: /v1/estimates = %d", name, rec.Code)
+		}
+		if _, ok := scrape(t, h)["slimfast_deprecated_requests_total"]; ok {
+			t.Errorf("%s: scrape still lists slimfast_deprecated_requests_total", name)
+		}
 	}
 }
 

@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slimfast/internal/cluster"
+	"slimfast/internal/query"
 	"slimfast/internal/resilience"
 	"slimfast/internal/stream"
 )
@@ -44,7 +47,7 @@ func ndjsonFromTriples(claims []stream.Triple) string {
 // newGoldenCluster starts nodes member engines behind real node
 // handlers plus a router over them, mirroring the reference geometry:
 // one single-shard externally-coordinated member per reference shard.
-func newGoldenCluster(t *testing.T, nodes, batch, epochLen int) *routerServer {
+func newGoldenCluster(t *testing.T, nodes, batch, epochLen int) *routerBackend {
 	t.Helper()
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
@@ -63,7 +66,7 @@ func newGoldenCluster(t *testing.T, nodes, batch, epochLen int) *routerServer {
 }
 
 // newGoldenClusterOver builds a router over already-running member URLs.
-func newGoldenClusterOver(t *testing.T, urls []string, batch, epochLen int) *routerServer {
+func newGoldenClusterOver(t *testing.T, urls []string, batch, epochLen int) *routerBackend {
 	t.Helper()
 	rt, err := cluster.New(cluster.Config{
 		Nodes:       urls,
@@ -255,6 +258,50 @@ func TestRouterHTTPSurface(t *testing.T) {
 	if rec := doReq(t, h, http.MethodGet, "/v1/readyz", "", ""); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status":"ready"`) {
 		t.Fatalf("readyz: %d %s", rec.Code, rec.Body)
 	}
+
+	// The router inherits the node's overload contract: with its gate
+	// saturated, /v1/observe sheds with 429 + Retry-After and code shed
+	// before any member sees the chunk.
+	opts := stream.DefaultEngineOptions()
+	opts.Shards = 1
+	opts.EpochLength = stream.ExternalEpochLength
+	eng, err := stream.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := testServer(eng, "", 8).handler()
+	var memberHits atomic.Int64
+	ms := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		memberHits.Add(1)
+		member.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ms.Close)
+	shedRS := newGoldenClusterOver(t, []string{ms.URL}, 8, 16)
+	release, err := shedRS.gate.Acquire(defaultMaxInflightMB << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	sh := shedRS.handler()
+	rec := doReq(t, sh, http.MethodPost, "/v1/observe", "text/csv", "source,object,value\na,o1,v\n")
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("observe on a saturated router = %d, want 429: %s", rec.Code, rec.Body)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("shed Retry-After = %q, want 1", ra)
+	}
+	if code := decodeEnvelope(t, rec); code != "shed" {
+		t.Errorf("shed code = %q, want shed", code)
+	}
+	if v, _ := scrape(t, sh)["slimfast_http_shed_total"].Value("slimfast_http_shed_total", nil); v != 1 {
+		t.Errorf("router shed counter = %v, want 1", v)
+	}
+	if n := memberHits.Load(); n != 0 {
+		t.Errorf("a member saw %d requests from a shed observe", n)
+	}
+	if obs := eng.Stats().Observations; obs != 0 {
+		t.Errorf("member ingested %d claims from a shed observe", obs)
+	}
 }
 
 // TestRouterRefusesMemberRefine: a member running -external-epochs
@@ -345,4 +392,30 @@ func TestRouterConcurrentReadsDuringIngest(t *testing.T) {
 			t.Errorf("cluster %s diverged from the 2-shard engine\ncluster (%d):\n%s\nreference:\n%s", path, got.Code, got.Body, want.Body)
 		}
 	}
+}
+
+// parseSourcesCSV rebuilds a sources CSV dump as a relation over cols
+// — the oracle side of the router's sources queries, which run over
+// the merged table's four-decimal accuracies.
+func parseSourcesCSV(body string, cols []query.Column) (*query.Relation, error) {
+	rel := &query.Relation{Cols: cols}
+	lines := strings.Split(strings.TrimRight(body, "\n"), "\n")
+	for i, line := range lines {
+		if i == 0 || line == "" {
+			continue // header
+		}
+		name, accStr, ok := strings.Cut(line, ",")
+		if !ok {
+			return nil, fmt.Errorf("sources: malformed row %q", line)
+		}
+		acc, err := strconv.ParseFloat(accStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sources: malformed accuracy in %q", line)
+		}
+		rel.Rows = append(rel.Rows, []query.Val{
+			{Kind: query.KindString, Str: name},
+			{Kind: query.KindFloat, Num: acc},
+		})
+	}
+	return rel, nil
 }

@@ -40,9 +40,9 @@ func doReq(t *testing.T, h http.Handler, method, path, contentType, body string)
 	return rec
 }
 
-// testServer builds a streamServer the way most tests want one: the
+// testServer builds a node server the way most tests want one: the
 // given batch size, an optional checkpoint store, defaults elsewhere.
-func testServer(eng *stream.Engine, ckpt string, batch int) *streamServer {
+func testServer(eng *stream.Engine, ckpt string, batch int) *nodeBackend {
 	var store *stream.CheckpointStore
 	if ckpt != "" {
 		store = stream.NewCheckpointStore(ckpt, 2)
@@ -203,7 +203,7 @@ func TestServeStreamSIGTERM(t *testing.T) {
 	var out syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- serveStream(eng, serveConfig{Addr: "127.0.0.1:0", Batch: 32, Store: stream.NewCheckpointStore(ckpt, 2)}, &out)
+		done <- newStreamServer(eng, serveConfig{Batch: 32, Store: stream.NewCheckpointStore(ckpt, 2)}, &out).run("127.0.0.1:0")
 	}()
 
 	// Wait for the listen line and extract the bound address.
@@ -238,7 +238,7 @@ func TestServeStreamSIGTERM(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("serveStream returned %v", err)
+			t.Fatalf("run returned %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down after SIGTERM")

@@ -13,12 +13,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"slimfast/internal/data"
 	"slimfast/internal/obs"
 	"slimfast/internal/online"
+	"slimfast/internal/query"
 	"slimfast/internal/stream"
 )
 
@@ -46,8 +48,8 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 	ckptKeep := fs.Int("checkpoint-keep", stream.DefaultCheckpointKeep, "checkpoint generations to retain (newest at the -checkpoint path, older at path.1, path.2, ...)")
 	ckptEvery := fs.Duration("checkpoint-every", 0, "write a checkpoint generation this often in serve mode (0 = only on demand and at shutdown)")
 	reqTimeout := fs.Duration("request-timeout", 0, "serve mode: bound one request's body read and ingest-lock wait (0 = no deadline)")
-	maxInflightMB := fs.Int64("max-inflight-mb", 512, "serve mode: shed /observe with 429 beyond this many MiB of concurrent in-flight bodies (0 = unbounded)")
-	maxInflightReqs := fs.Int64("max-inflight-reqs", 256, "serve mode: shed /observe with 429 beyond this many concurrent requests (0 = unbounded)")
+	maxInflightMB := fs.Int64("max-inflight-mb", defaultMaxInflightMB, "serve mode: shed /observe with 429 beyond this many MiB of concurrent in-flight bodies (0 = unbounded)")
+	maxInflightReqs := fs.Int64("max-inflight-reqs", defaultMaxInflightReqs, "serve mode: shed /observe with 429 beyond this many concurrent requests (0 = unbounded)")
 	restorePath := fs.String("restore", "", "resume from this checkpoint when it exists (engine flags like -shards then come from the checkpoint); damaged generations fall back to older ones")
 	featPath := fs.String("features", "", "source features CSV (source,feature); enables online discriminative reliability learning")
 	window := fs.Int("window", 0, "drift window in epochs for the online learner (0 = default; needs -features)")
@@ -155,8 +157,7 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 				return err
 			}
 		}
-		return serveStream(eng, serveConfig{
-			Addr:             *listen,
+		return newStreamServer(eng, serveConfig{
 			Batch:            *batch,
 			Store:            store,
 			CheckpointEvery:  *ckptEvery,
@@ -165,7 +166,7 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 			MaxInflightReqs:  *maxInflightReqs,
 			Registry:         reg,
 			LogFormat:        *logFormat,
-		}, stdout)
+		}, stdout).run(*listen)
 	}
 	var watched []string
 	if *watch != "" {
@@ -234,10 +235,10 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "# fused %d live objects from %d sources (%d observations, %d evicted) via %d-shard stream\n",
 		st.Objects, st.Sources, st.Observations, st.EvictedObjects, st.Shards)
 
-	if err := writeStreamValues(*valuesOut, stdout, eng); err != nil {
+	if err := writeStreamCSV(*valuesOut, stdout, eng, writeEstimatesCSV); err != nil {
 		return err
 	}
-	if err := writeStreamAccuracies(*accOut, stdout, eng); err != nil {
+	if err := writeStreamCSV(*accOut, stdout, eng, writeSourceAccuraciesCSV); err != nil {
 		return err
 	}
 	if store != nil {
@@ -276,34 +277,31 @@ func writeEstimatesCSV(w io.Writer, eng *stream.Engine) error {
 // estimates it blends — so an operator can see what the features are
 // contributing.
 func writeSourceAccuraciesCSV(w io.Writer, eng *stream.Engine) error {
-	cw := csv.NewWriter(w)
-	if !eng.OnlineLearning() {
-		if err := cw.Write([]string{"source", "accuracy"}); err != nil {
-			return err
-		}
-		for _, s := range eng.Sources() {
-			if err := cw.Write([]string{s, fmt.Sprintf("%.4f", eng.SourceAccuracy(s))}); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}
-	if err := cw.Write([]string{"source", "accuracy", "learned", "empirical"}); err != nil {
-		return err
-	}
+	rel := sourcesRelation(eng)
+	return query.WriteCSV(w, &query.Result{Cols: rel.Cols, Rows: slices.Values(rel.Rows)})
+}
+
+// sourcesRelation materializes the source accuracy table with the
+// legacy column set (the online decomposition columns when the engine
+// learns), so queried and negotiated reads share one schema with the
+// plain CSV surface.
+func sourcesRelation(eng *stream.Engine) *query.Relation {
+	str := func(s string) query.Val { return query.Val{Kind: query.KindString, Str: s} }
+	num := func(f float64) query.Val { return query.Val{Kind: query.KindFloat, Num: f} }
+	online := eng.OnlineLearning()
+	rel := &query.Relation{Cols: query.SourceColumns(online)}
 	for _, s := range eng.Sources() {
+		if !online {
+			rel.Rows = append(rel.Rows, []query.Val{str(s), num(eng.SourceAccuracy(s))})
+			continue
+		}
 		acc, learned, empirical, ok := eng.SourceAccuracyDetail(s)
 		if !ok {
 			continue
 		}
-		rec := []string{s, fmt.Sprintf("%.4f", acc), fmt.Sprintf("%.4f", learned), fmt.Sprintf("%.4f", empirical)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		rel.Rows = append(rel.Rows, []query.Val{str(s), num(acc), num(learned), num(empirical)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return rel
 }
 
 // writeFeatureWeightsCSV emits the online learner's model for the
@@ -328,20 +326,13 @@ func writeFeatureWeightsCSV(w io.Writer, intercept float64, feats []online.Weigh
 	return cw.Error()
 }
 
-func writeStreamValues(path string, stdout io.Writer, eng *stream.Engine) error {
+// writeStreamCSV writes one of the final CSVs to path (stdout when
+// empty).
+func writeStreamCSV(path string, stdout io.Writer, eng *stream.Engine, write func(io.Writer, *stream.Engine) error) error {
 	w, closeFn, err := openOut(path, stdout)
 	if err != nil {
 		return err
 	}
 	defer closeFn()
-	return writeEstimatesCSV(w, eng)
-}
-
-func writeStreamAccuracies(path string, stdout io.Writer, eng *stream.Engine) error {
-	w, closeFn, err := openOut(path, stdout)
-	if err != nil {
-		return err
-	}
-	defer closeFn()
-	return writeSourceAccuraciesCSV(w, eng)
+	return write(w, eng)
 }

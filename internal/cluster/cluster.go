@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -429,7 +428,7 @@ func (r *Router) fanOut(call func(node int) error) error {
 
 // exchange runs one idempotent-by-tag coordination exchange on every
 // node concurrently and returns the responses in node order.
-func (r *Router) exchange(ctx context.Context, path string, req epochRequest) ([]epochResponse, error) {
+func (r *Router) exchange(ctx context.Context, path string, req EpochRequest) ([]epochResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -448,9 +447,14 @@ func (r *Router) exchange(ctx context.Context, path string, req epochRequest) ([
 	return resps, err
 }
 
-// epochRequest / epochResponse are the node coordination exchange
-// bodies (the server half lives in cmd/slimfast's /epoch handlers).
-type epochRequest struct {
+// EpochRequest is the body of a POST /v1/epoch/{drain,mass,apply}
+// exchange; epochResponse is what drain and mass answer (the member
+// half lives in cmd/slimfast's node backend). Tag is the coordinator's
+// idempotency key for the exchange: a retried request with the tag of
+// the last completed exchange replays its response without
+// re-executing — draining is destructive, so this is what makes a
+// barrier safe to retry after a lost response.
+type EpochRequest struct {
 	Tag        string                  `json:"tag"`
 	Accuracies []stream.SourceAccuracy `json:"accuracies,omitempty"`
 	Rescore    bool                    `json:"rescore,omitempty"`
@@ -459,6 +463,30 @@ type epochRequest struct {
 type epochResponse struct {
 	Tag     string              `json:"tag"`
 	Sources []stream.SourceStat `json:"sources"`
+}
+
+// mergeLocked sums the per-source stats of an exchange's responses
+// into vectors indexed like r.names, interning new names. The sums run
+// node-major in response order — the accumulation order a single
+// engine's shard drain uses.
+func (r *Router) mergeLocked(resps []epochResponse) (agree, total []float64, obs []int64) {
+	for _, resp := range resps {
+		for _, st := range resp.Sources {
+			r.internLocked(st.Source)
+		}
+	}
+	agree = make([]float64, len(r.names))
+	total = make([]float64, len(r.names))
+	obs = make([]int64, len(r.names))
+	for _, resp := range resps {
+		for _, st := range resp.Sources {
+			i := r.ix[st.Source]
+			agree[i] += st.Agree
+			total[i] += st.Total
+			obs[i] += st.Observations
+		}
+	}
+	return agree, total, obs
 }
 
 // flushBarrierLocked completes a pending epoch barrier, if any.
@@ -482,45 +510,21 @@ func (r *Router) flushBarrierLocked(ctx context.Context) error {
 // (cached) drains and cannot double-count.
 func (r *Router) barrierLocked(ctx context.Context) error {
 	tag := "e" + strconv.FormatInt(r.barriers+1, 10)
-	resps, err := r.exchange(ctx, "/v1/epoch/drain", epochRequest{Tag: tag})
+	resps, err := r.exchange(ctx, "/v1/epoch/drain", EpochRequest{Tag: tag})
 	if err != nil {
 		return err
 	}
-	delta := make([]float64, len(r.names), len(r.names)+16)
-	dtot := make([]float64, len(r.names), len(r.names)+16)
-	obs := make([]int64, len(r.names), len(r.names)+16)
-	for _, resp := range resps {
-		for _, st := range resp.Sources {
-			i := r.internLocked(st.Source)
-			for len(delta) < len(r.names) {
-				delta = append(delta, 0)
-				dtot = append(dtot, 0)
-				obs = append(obs, 0)
-			}
-			delta[i] += st.Agree
-			dtot[i] += st.Total
-			obs[i] += st.Observations
-		}
-	}
+	delta, dtot, obs := r.mergeLocked(resps)
 	// Fold into scratch first; the cumulative table is replaced only
 	// once the apply landed everywhere.
 	newAgree := append([]float64(nil), r.agree...)
 	newTotal := append([]float64(nil), r.total...)
+	stream.FoldEpoch(newAgree, newTotal, delta, dtot, obs, r.cfg.Opts.Decay)
 	accs := make([]stream.SourceAccuracy, len(r.names))
 	for s := range r.names {
-		if r.cfg.Opts.Decay < 1 && obs[s] > 0 {
-			d := math.Pow(r.cfg.Opts.Decay, float64(obs[s]))
-			newAgree[s] *= d
-			newTotal[s] *= d
-		}
-		newAgree[s] += delta[s]
-		newTotal[s] += dtot[s]
-		if newAgree[s] < 0 {
-			newAgree[s] = 0
-		}
 		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(newAgree[s], newTotal[s])}
 	}
-	if _, err := r.exchange(ctx, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs}); err != nil {
+	if _, err := r.exchange(ctx, "/v1/epoch/apply", EpochRequest{Tag: tag, Accuracies: accs}); err != nil {
 		return err
 	}
 	r.agree, r.total = newAgree, newTotal
@@ -570,33 +574,23 @@ func (r *Router) Refine(ctx context.Context, sweeps int) (int64, error) {
 
 func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) error {
 	tag := "r" + strconv.FormatInt(op, 10) + ".s" + strconv.Itoa(sweep)
-	resps, err := r.exchange(ctx, "/v1/epoch/mass", epochRequest{Tag: tag})
+	resps, err := r.exchange(ctx, "/v1/epoch/mass", EpochRequest{Tag: tag})
 	if err != nil {
 		return err
 	}
-	mergedA := make([]float64, len(r.names), len(r.names)+16)
-	mergedT := make([]float64, len(r.names), len(r.names)+16)
 	rows := 0
 	for _, resp := range resps {
 		rows += len(resp.Sources)
-		for _, st := range resp.Sources {
-			i := r.internLocked(st.Source)
-			for len(mergedA) < len(r.names) {
-				mergedA = append(mergedA, 0)
-				mergedT = append(mergedT, 0)
-			}
-			mergedA[i] += st.Agree
-			mergedT[i] += st.Total
-		}
 	}
 	if rows == 0 {
 		return nil
 	}
+	mergedA, mergedT, _ := r.mergeLocked(resps)
 	accs := make([]stream.SourceAccuracy, len(r.names))
 	for s := range r.names {
 		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(mergedA[s], mergedT[s])}
 	}
-	if _, err := r.exchange(ctx, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs, Rescore: true}); err != nil {
+	if _, err := r.exchange(ctx, "/v1/epoch/apply", EpochRequest{Tag: tag, Accuracies: accs, Rescore: true}); err != nil {
 		return err
 	}
 	r.agree, r.total = mergedA, mergedT
@@ -651,11 +645,7 @@ func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.gather(func(j int) ([]byte, error) {
-		body, err := r.get(ctx, r.cfg.Nodes[j]+"/v1/estimates")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: partition %d estimates: %w", j, err)
-		}
-		return body, nil
+		return r.get(ctx, j, "/v1/estimates", "estimates")
 	}, func(j int, body []byte) error {
 		if !bytes.HasPrefix(body, []byte(estimatesHeader)) {
 			return fmt.Errorf("cluster: partition %d returned an unexpected /estimates header", j)
@@ -671,19 +661,32 @@ func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
 // Sources scatter-gathers GET /sources and writes the cluster-wide
 // accuracy table: the union of the node tables (every node holds the
 // full pushed σ-table, but interning order differs), globally sorted
-// — the same bytes a single engine's sorted emit produces. Rows are
-// merged verbatim, and a source reported with two different
-// accuracies is a protocol error (the apply push keeps them equal).
+// — the same bytes a single engine's sorted emit produces.
 func (r *Router) Sources(ctx context.Context, w io.Writer) error {
+	rows, err := r.sourceRows(ctx)
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	buf.WriteString(sourcesHeader)
+	for _, row := range rows {
+		buf.WriteString(row)
+		buf.WriteByte('\n')
+	}
+	_, err = w.Write(buf.Bytes())
+	return err
+}
+
+// sourceRows gathers every node's /sources table and returns the
+// merged rows sorted by source name. Rows are merged verbatim, and a
+// source reported with two different accuracies is a protocol error
+// (the apply push keeps them equal).
+func (r *Router) sourceRows(ctx context.Context) ([]string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	rows := map[string]string{}
 	err := r.gather(func(j int) ([]byte, error) {
-		body, err := r.get(ctx, r.cfg.Nodes[j]+"/v1/sources")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: partition %d sources: %w", j, err)
-		}
-		return body, nil
+		return r.get(ctx, j, "/v1/sources", "sources")
 	}, func(j int, body []byte) error {
 		if !bytes.HasPrefix(body, []byte(sourcesHeader)) {
 			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", j)
@@ -704,21 +707,18 @@ func (r *Router) Sources(ctx context.Context, w io.Writer) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	names := make([]string, 0, len(rows))
 	for name := range rows {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var buf bytes.Buffer
-	buf.WriteString(sourcesHeader)
-	for _, name := range names {
-		buf.WriteString(rows[name])
-		buf.WriteByte('\n')
+	merged := make([]string, len(names))
+	for i, name := range names {
+		merged[i] = rows[name]
 	}
-	_, err = w.Write(buf.Bytes())
-	return err
+	return merged, nil
 }
 
 // Checkpoint makes the cluster durable on demand: every node writes a
@@ -874,23 +874,24 @@ func (r *Router) probeAll(ctx context.Context, path string) (string, []NodeStatu
 // and fails on any non-2xx answer with the node's error text.
 func (r *Router) post(ctx context.Context, url, contentType, seq string, body []byte) ([]byte, error) {
 	resp, err := r.client.Post(ctx, url, contentType, seq, body)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if resp.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if rerr != nil {
-		return nil, fmt.Errorf("%s: reading response: %w", url, rerr)
-	}
-	return data, nil
+	return readResponse(url, resp, err)
 }
 
-// get issues one read through the retrying client.
-func (r *Router) get(ctx context.Context, url string) ([]byte, error) {
+// get reads path from node j through the retrying client; a failure
+// names the partition and what was read.
+func (r *Router) get(ctx context.Context, j int, path, what string) ([]byte, error) {
+	url := r.cfg.Nodes[j] + path
 	resp, err := r.client.Get(ctx, url)
+	body, err := readResponse(url, resp, err)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: partition %d %s: %w", j, what, err)
+	}
+	return body, nil
+}
+
+// readResponse reads a node's answer, failing on any non-2xx status
+// with the node's error text.
+func readResponse(url string, resp *http.Response, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,8 @@ import (
 	"context"
 	"fmt"
 	"net/url"
+	"strconv"
+	"strings"
 
 	"slimfast/internal/query"
 )
@@ -87,9 +89,9 @@ func (r *Router) memberRows(ctx context.Context, q *query.Query, vals url.Values
 	vals.Set("format", "json")
 	path := "/v1/estimates?" + vals.Encode()
 	fetch := func(j int) ([][]query.Val, error) {
-		body, err := r.get(ctx, r.cfg.Nodes[j]+path)
+		body, err := r.get(ctx, j, path, "query")
 		if err != nil {
-			return nil, fmt.Errorf("cluster: partition %d query: %w", j, err)
+			return nil, err
 		}
 		rows, err := query.ReadNDJSON(bytes.NewReader(body), cols)
 		if err != nil {
@@ -156,18 +158,26 @@ func (r *Router) queryGroupLocked(ctx context.Context, q *query.Query) (*query.R
 	return res, nil
 }
 
-// Features relays the online learner's feature weights: the first
-// member that answers wins (at most one member runs the learner).
-// When none does — the common cluster case, since -external-epochs
-// excludes -features — the last member's refusal is returned.
-func (r *Router) Features(ctx context.Context) ([]byte, error) {
-	var lastErr error
-	for i, node := range r.cfg.Nodes {
-		body, err := r.get(ctx, node+"/v1/features")
-		if err == nil {
-			return body, nil
-		}
-		lastErr = fmt.Errorf("cluster: partition %d features: %w", i, err)
+// SourceRelation is the merged table Sources writes, as a relation
+// over query.SourceColumns(false). Accuracies are parsed back from
+// the members' four-decimal CSV text, so a query over the relation
+// sees exactly the values a client of Sources reads.
+func (r *Router) SourceRelation(ctx context.Context) (*query.Relation, error) {
+	rows, err := r.sourceRows(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	rel := &query.Relation{Cols: query.SourceColumns(false)}
+	for _, row := range rows {
+		name, acc, _ := strings.Cut(row, ",")
+		f, err := strconv.ParseFloat(acc, 64)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: malformed accuracy in /sources row %q", row)
+		}
+		rel.Rows = append(rel.Rows, []query.Val{
+			{Kind: query.KindString, Str: name},
+			{Kind: query.KindFloat, Num: f},
+		})
+	}
+	return rel, nil
 }

@@ -95,6 +95,20 @@ func EstimateColumns() []Column {
 	}
 }
 
+// SourceColumns is the schema of the sources relation: source and
+// accuracy, plus the learned and empirical halves of the accuracy
+// when detail is set (engines running the online learner).
+func SourceColumns(detail bool) []Column {
+	cols := []Column{
+		{"source", KindString},
+		{"accuracy", KindFloat},
+	}
+	if detail {
+		cols = append(cols, Column{"learned", KindFloat}, Column{"empirical", KindFloat})
+	}
+	return cols
+}
+
 // Cond is one conjunct of the where clause.
 type Cond struct {
 	Col string

@@ -56,6 +56,31 @@ func (o Options) EstimateAccuracy(agree, total float64) float64 {
 	return smoothedAccuracy(o, agree, total)
 }
 
+// FoldEpoch folds one epoch's merged evidence deltas into the
+// cumulative per-source evidence, in place, for every source i in
+// dAgree: the cumulative pair decays by decay^obs[i] when the source
+// saw obs[i] > 0 observations this epoch (decay < 1 only), then takes
+// the deltas, and agree is clamped at 0. Under decay the settled
+// baseline shrinks while posterior drift is still measured against the
+// undecayed settle marks, so a large downward drift can overshoot;
+// evidence mass is never negative. Engine.refreshLocked (over shards)
+// and the cluster router's barrier (over nodes) both fold through here,
+// so the two stay bit-identical by construction.
+func FoldEpoch(agree, total, dAgree, dTotal []float64, obs []int64, decay float64) {
+	for i := range dAgree {
+		if decay < 1 && obs[i] > 0 {
+			d := math.Pow(decay, float64(obs[i]))
+			agree[i] *= d
+			total[i] *= d
+		}
+		agree[i] += dAgree[i]
+		total[i] += dTotal[i]
+		if agree[i] < 0 {
+			agree[i] = 0
+		}
+	}
+}
+
 // SourceStat is one source's contribution in a coordination exchange,
 // keyed by name because interned ids diverge across engines.
 type SourceStat struct {

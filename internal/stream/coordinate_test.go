@@ -342,3 +342,38 @@ func TestCoordinationRejectsOnlineLearner(t *testing.T) {
 		t.Fatal("ApplyAccuracies accepted an online engine")
 	}
 }
+
+// TestFoldEpoch pins the one epoch fold refreshLocked and the cluster
+// barrier share: decay applies only to sources observed this epoch
+// (and only under decay < 1), deltas add after the decay, and a
+// negative agree clamps to 0 while total keeps its sign.
+func TestFoldEpoch(t *testing.T) {
+	cases := []struct {
+		name                 string
+		agree, total         float64
+		dAgree, dTotal       float64
+		obs                  int64
+		decay                float64
+		wantAgree, wantTotal float64
+	}{
+		{"no decay adds", 2, 4, 1, 2, 3, 1, 3, 6},
+		{"decay with obs", 2, 4, 1, 2, 2, 0.5, 2*0.25 + 1, 4*0.25 + 2},
+		{"decay skips unobserved", 2, 4, 1, 2, 0, 0.5, 3, 6},
+		{"negative agree clamps", 1, 4, -3, 1, 1, 1, 0, 5},
+		{"clamp after decay", 2, 4, -1.5, 0, 1, 0.5, 0, 2},
+	}
+	for _, tc := range cases {
+		agree, total := []float64{tc.agree}, []float64{tc.total}
+		FoldEpoch(agree, total, []float64{tc.dAgree}, []float64{tc.dTotal}, []int64{tc.obs}, tc.decay)
+		if agree[0] != tc.wantAgree || total[0] != tc.wantTotal {
+			t.Errorf("%s: got (%v, %v), want (%v, %v)", tc.name, agree[0], total[0], tc.wantAgree, tc.wantTotal)
+		}
+	}
+
+	// Sources past len(dAgree) — interned after the drain — are left alone.
+	agree, total := []float64{1, 7}, []float64{2, 9}
+	FoldEpoch(agree, total, []float64{1}, []float64{1}, []int64{1}, 0.5)
+	if agree[1] != 7 || total[1] != 9 {
+		t.Errorf("fold touched an undrained source: (%v, %v)", agree[1], total[1])
+	}
+}

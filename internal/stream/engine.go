@@ -837,22 +837,9 @@ func (e *Engine) refreshLocked() {
 	}
 
 	e.src.mu.Lock()
-	for s := 0; s < n; s++ {
-		if e.opts.Decay < 1 && obs[s] > 0 {
-			d := math.Pow(e.opts.Decay, float64(obs[s]))
-			e.src.agree[s] *= d
-			e.src.total[s] *= d
-		}
-		e.src.agree[s] += agree[s]
-		e.src.total[s] += total[s]
-		// Under decay the settled baseline shrinks while posterior
-		// drift is still measured against the undecayed settle marks,
-		// so a large downward drift can overshoot; evidence mass is
-		// never negative.
-		if e.src.agree[s] < 0 {
-			e.src.agree[s] = 0
-		}
-		if acc == nil {
+	FoldEpoch(e.src.agree, e.src.total, agree, total, obs, e.opts.Decay)
+	if acc == nil {
+		for s := 0; s < n; s++ {
 			e.src.acc[s] = smoothedAccuracy(e.opts.Options, e.src.agree[s], e.src.total[s])
 			e.src.sigma[s] = mathx.Logit(e.src.acc[s])
 		}

@@ -100,6 +100,13 @@ curl -fsS "http://$ROUTER/v1/healthz" | grep -q '"status":"ok"' || {
 	exit 1
 }
 
+# The unversioned aliases are gone: a bare path is the mux's 404.
+BARE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST --data-binary 'source,object,value' "http://$ROUTER/observe")"
+[ "$BARE" = 404 ] || {
+	echo "bare /observe on the router answered $BARE, want 404" >&2
+	exit 1
+}
+
 echo "== ingest part 1 through the resilient replay client"
 "$WORK/slimfast" replay -obs "$WORK/part1.csv" -to "http://$ROUTER" -batch 32 -seq-prefix p1 > "$WORK/replay1.log"
 [ -s "$WORK/cluster.json" ] || { echo "no cluster manifest after part 1" >&2; exit 1; }
