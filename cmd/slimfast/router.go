@@ -176,10 +176,6 @@ func (b *routerBackend) query(ctx context.Context, q *query.Query, _ bool) (*que
 
 func (b *routerBackend) sourceColumns() []query.Column { return query.SourceColumns(false) }
 
-func (b *routerBackend) sourcesCSV(ctx context.Context, w io.Writer) error {
-	return unavailable(b.rt.Sources(ctx, w))
-}
-
 func (b *routerBackend) sources(ctx context.Context) (*query.Relation, error) {
 	rel, err := b.rt.SourceRelation(ctx)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -390,6 +391,52 @@ func TestRouterConcurrentReadsDuringIngest(t *testing.T) {
 		got := doReq(t, h, http.MethodGet, path, "", "")
 		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
 			t.Errorf("cluster %s diverged from the 2-shard engine\ncluster (%d):\n%s\nreference:\n%s", path, got.Code, got.Body, want.Body)
+		}
+	}
+}
+
+// TestRouterSourcesQuotedNames: source names that CSV must quote — a
+// comma, a double quote — merge across members like any other name,
+// so the router's /v1/sources reads are byte-identical to one 2-shard
+// engine's, plain and queried. Two names sharing the prefix before
+// their comma ("a,b", "a,c") must stay two sources.
+func TestRouterSourcesQuotedNames(t *testing.T) {
+	const nodes, batch, epochLen = 2, 8, 16
+	var claims []stream.Triple
+	for o := 0; o < 24; o++ {
+		for s, src := range []string{"a,b", "a,c", `q"x`, "plain"} {
+			val := fmt.Sprintf("v%d", o%3)
+			if (o+s)%5 == 0 {
+				val = "w"
+			}
+			claims = append(claims, stream.Triple{Source: src, Object: fmt.Sprintf("obj%02d", o), Value: val})
+		}
+	}
+	rs := newGoldenCluster(t, nodes, batch, epochLen)
+	if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
+		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
+	}
+	refOpts := stream.DefaultEngineOptions()
+	refOpts.Shards = nodes
+	refOpts.EpochLength = epochLen
+	ref, err := stream.NewEngine(refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(claims); lo += batch {
+		ref.ObserveBatch(claims[lo:min(lo+batch, len(claims))])
+	}
+	refHandler := testServer(ref, "", batch).handler()
+	for _, path := range []string{
+		"/v1/sources",
+		"/v1/sources?order=-source&limit=3",
+		"/v1/sources?where=" + url.QueryEscape("source=a,b"),
+		"/v1/sources?where=" + url.QueryEscape(`source=q"x`) + "&cols=source&format=json",
+	} {
+		want := doReq(t, refHandler, http.MethodGet, path, "", "")
+		got := doReq(t, rs.handler(), http.MethodGet, path, "", "")
+		if want.Code != http.StatusOK || got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Errorf("cluster %s diverged from the 2-shard engine\ncluster (%d):\n%s\nreference (%d):\n%s", path, got.Code, got.Body, want.Code, want.Body)
 		}
 	}
 }

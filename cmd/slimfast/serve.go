@@ -201,10 +201,6 @@ func (n *nodeBackend) sourceColumns() []query.Column {
 	return query.SourceColumns(n.eng.OnlineLearning())
 }
 
-func (n *nodeBackend) sourcesCSV(_ context.Context, w io.Writer) error {
-	return writeSourceAccuraciesCSV(w, n.eng)
-}
-
 func (n *nodeBackend) sources(context.Context) (*query.Relation, error) {
 	return sourcesRelation(n.eng), nil
 }

@@ -339,8 +339,17 @@ func TestServePeriodicCheckpoint(t *testing.T) {
 	var log syncBuffer
 	srv := newStreamServer(eng, serveConfig{Batch: 8, Store: store, CheckpointEvery: 20 * time.Millisecond}, &log)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.checkpointLoop(ctx, srv.cfg.CheckpointEvery)
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		srv.checkpointLoop(ctx, srv.cfg.CheckpointEvery)
+	}()
+	// Join the loop before the TempDir cleanup runs, so no checkpoint
+	// write is still in flight when the directory is removed.
+	defer func() {
+		cancel()
+		<-loopDone
+	}()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -71,10 +71,9 @@ type backend interface {
 	// aggregates for a router to fold).
 	estimatesCSV(ctx context.Context, w io.Writer) error
 	query(ctx context.Context, q *query.Query, partial bool) (*query.Result, error)
-	// sourceColumns is the schema of the sources relation, sourcesCSV
-	// its plain dump, and sources the relation itself.
+	// sourceColumns is the schema of the sources relation, sources
+	// the relation itself, sorted by source.
 	sourceColumns() []query.Column
-	sourcesCSV(ctx context.Context, w io.Writer) error
 	sources(ctx context.Context) (*query.Relation, error)
 	features(ctx context.Context, w io.Writer) error
 	refine(ctx context.Context, sweeps int) (any, error)
@@ -273,14 +272,12 @@ func (s *surface) handleEstimates(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSources serves the source accuracy relation with the same
-// query language and content negotiation as /estimates.
+// query language and content negotiation as /estimates. Every read,
+// the plain dump included, runs the relational executor: a plain query
+// sorts by source and projects every column.
 func (s *surface) handleSources(w http.ResponseWriter, r *http.Request) {
 	q, format, ok := s.parseQuery(w, r, "sources", s.be.sourceColumns())
 	if !ok {
-		return
-	}
-	if q.IsPlain() && format == "csv" {
-		s.render(w, r, "text/csv", s.be.sourcesCSV)
 		return
 	}
 	rel, err := s.be.sources(r.Context())

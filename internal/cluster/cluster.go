@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -597,12 +596,9 @@ func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) err
 	return nil
 }
 
-// estimatesHeader / sourcesHeader pin the node CSV surfaces the
-// merges below rely on; drift is an error, not silent corruption.
-const (
-	estimatesHeader = "object,value,confidence\n"
-	sourcesHeader   = "source,accuracy\n"
-)
+// estimatesHeader pins the node CSV surface the Estimates merge
+// relies on; drift is an error, not silent corruption.
+const estimatesHeader = "object,value,confidence\n"
 
 // gather fetches one body from every node concurrently and hands each
 // to emit in node order, as soon as that node and every lower-numbered
@@ -656,69 +652,6 @@ func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
 		_, err := w.Write(body)
 		return err
 	})
-}
-
-// Sources scatter-gathers GET /sources and writes the cluster-wide
-// accuracy table: the union of the node tables (every node holds the
-// full pushed σ-table, but interning order differs), globally sorted
-// — the same bytes a single engine's sorted emit produces.
-func (r *Router) Sources(ctx context.Context, w io.Writer) error {
-	rows, err := r.sourceRows(ctx)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	buf.WriteString(sourcesHeader)
-	for _, row := range rows {
-		buf.WriteString(row)
-		buf.WriteByte('\n')
-	}
-	_, err = w.Write(buf.Bytes())
-	return err
-}
-
-// sourceRows gathers every node's /sources table and returns the
-// merged rows sorted by source name. Rows are merged verbatim, and a
-// source reported with two different accuracies is a protocol error
-// (the apply push keeps them equal).
-func (r *Router) sourceRows(ctx context.Context) ([]string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rows := map[string]string{}
-	err := r.gather(func(j int) ([]byte, error) {
-		return r.get(ctx, j, "/v1/sources", "sources")
-	}, func(j int, body []byte) error {
-		if !bytes.HasPrefix(body, []byte(sourcesHeader)) {
-			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", j)
-		}
-		for _, line := range strings.Split(strings.TrimRight(string(body[len(sourcesHeader):]), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			name, _, ok := strings.Cut(line, ",")
-			if !ok {
-				return fmt.Errorf("cluster: partition %d returned a malformed /sources row %q", j, line)
-			}
-			if prev, dup := rows[name]; dup && prev != line {
-				return fmt.Errorf("cluster: source %q diverged across partitions (%q vs %q)", name, prev, line)
-			}
-			rows[name] = line
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	merged := make([]string, len(names))
-	for i, name := range names {
-		merged[i] = rows[name]
-	}
-	return merged, nil
 }
 
 // Checkpoint makes the cluster durable on demand: every node writes a

@@ -114,7 +114,7 @@ func (f *fakeNode) handler() http.Handler {
 		// Queried reads answer with no NDJSON rows.
 	})
 	mux.HandleFunc("GET /v1/sources", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, sourcesHeader+"s0,0.5000\n")
+		fmt.Fprint(w, "source,accuracy\ns0,0.5000\n")
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"status":"ok"}`)

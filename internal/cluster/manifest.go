@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"slimfast/internal/resilience"
 )
 
 // manifestVersion is the cluster manifest schema version (see
@@ -91,9 +94,10 @@ func (r *Router) manifestLocked() Manifest {
 	return m
 }
 
-// writeManifestLocked writes the manifest atomically: temp file in
-// the target directory, then rename, so a crash mid-write leaves the
-// previous manifest intact.
+// writeManifestLocked writes the manifest atomically: a synced temp
+// file in the target directory, renamed into place, then the
+// directory synced so the rename survives power loss — a crash
+// mid-write leaves the previous manifest intact.
 func (r *Router) writeManifestLocked() error {
 	data, err := json.MarshalIndent(r.manifestLocked(), "", "  ")
 	if err != nil {
@@ -101,25 +105,20 @@ func (r *Router) writeManifestLocked() error {
 	}
 	data = append(data, '\n')
 	dir := filepath.Dir(r.cfg.ManifestPath)
-	tmp, err := os.CreateTemp(dir, filepath.Base(r.cfg.ManifestPath)+".tmp*")
+	tmp, err := resilience.WriteTemp(resilience.OS, dir, filepath.Base(r.cfg.ManifestPath)+".tmp*", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("cluster: writing manifest: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: writing manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), r.cfg.ManifestPath); err != nil {
+	if err := os.Rename(tmp, r.cfg.ManifestPath); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("cluster: installing manifest: %w", err)
 	}
+	// Best-effort, as for checkpoints: a filesystem that refuses
+	// directory fsync still holds a valid, fully synced manifest.
+	resilience.OS.SyncDir(dir)
 	return nil
 }
 

@@ -15,10 +15,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"fmt"
+	"maps"
 	"net/url"
+	"slices"
 	"strconv"
-	"strings"
 
 	"slimfast/internal/query"
 )
@@ -158,21 +160,45 @@ func (r *Router) queryGroupLocked(ctx context.Context, q *query.Query) (*query.R
 	return res, nil
 }
 
-// SourceRelation is the merged table Sources writes, as a relation
-// over query.SourceColumns(false). Accuracies are parsed back from
+// SourceRelation scatter-gathers every member's GET /v1/sources and
+// merges the tables into one relation over query.SourceColumns(false),
+// sorted by source name: the union of the member tables (every member
+// holds the full pushed σ-table, but interning order differs). A
+// source reported with two different accuracies is a protocol error
+// (the apply push keeps them equal). Accuracies are parsed back from
 // the members' four-decimal CSV text, so a query over the relation
-// sees exactly the values a client of Sources reads.
+// sees exactly the values a plain read prints.
 func (r *Router) SourceRelation(ctx context.Context) (*query.Relation, error) {
-	rows, err := r.sourceRows(ctx)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	accs := map[string]string{}
+	err := r.gather(func(j int) ([]byte, error) {
+		return r.get(ctx, j, "/v1/sources", "sources")
+	}, func(j int, body []byte) error {
+		recs, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
+		if err != nil {
+			return fmt.Errorf("cluster: partition %d returned a malformed /sources table: %w", j, err)
+		}
+		if len(recs) == 0 || !slices.Equal(recs[0], []string{"source", "accuracy"}) {
+			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", j)
+		}
+		for _, rec := range recs[1:] {
+			name, acc := rec[0], rec[1]
+			if prev, dup := accs[name]; dup && prev != acc {
+				return fmt.Errorf("cluster: source %q diverged across partitions (%s vs %s)", name, prev, acc)
+			}
+			accs[name] = acc
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	rel := &query.Relation{Cols: query.SourceColumns(false)}
-	for _, row := range rows {
-		name, acc, _ := strings.Cut(row, ",")
-		f, err := strconv.ParseFloat(acc, 64)
+	for _, name := range slices.Sorted(maps.Keys(accs)) {
+		f, err := strconv.ParseFloat(accs[name], 64)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: malformed accuracy in /sources row %q", row)
+			return nil, fmt.Errorf("cluster: malformed accuracy %q for source %q in /sources", accs[name], name)
 		}
 		rel.Rows = append(rel.Rows, []query.Val{
 			{Kind: query.KindString, Str: name},

@@ -118,8 +118,7 @@ func TestRouterReadsAreConcurrent(t *testing.T) {
 		if want := estimatesHeader + "obja,v,0.5000\nobjb,v,0.5000\n"; est.String() != want {
 			t.Errorf("estimates merged to %q, want node order %q", est.String(), want)
 		}
-		var src bytes.Buffer
-		if err := r.Sources(ctx, &src); err != nil {
+		if _, err := r.SourceRelation(ctx); err != nil {
 			t.Fatalf("sources: %v", err)
 		}
 		drain(t, r, "group=value&agg=count,sum:confidence")

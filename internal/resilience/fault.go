@@ -129,6 +129,34 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
+// WriteTemp is the write half of an atomic file replace: it creates a
+// temp file in dir from pattern, hands it to write, syncs and closes
+// it, and returns its name for the caller to rename into place. On any
+// failure the temp file is closed and removed, and the error from
+// write is returned as it is.
+func WriteTemp(fs FS, dir, pattern string, write func(io.Writer) error) (name string, err error) {
+	f, err := fs.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // a second Close after a failed one is harmless
+			fs.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
+		return "", err
+	}
+	if err = f.Sync(); err != nil {
+		return "", err
+	}
+	if err = f.Close(); err != nil {
+		return "", err
+	}
+	return f.Name(), nil
+}
+
 // FaultFS wraps an FS and arms faults against the files it creates.
 // Arm installs a FaultWriter spec for the next created file (one
 // shot); ArmRename makes the next Rename fail. The zero wrap passes

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"slimfast/internal/online"
@@ -526,7 +525,7 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 		return corruptf("shard %d tracks %d sources, table has %d", s, nd, nSrc)
 	}
 	// The live engine grows the per-source vectors (ensureSource)
-	// before any claim by that source lands, so drain() and evict()
+	// before any claim by that source lands, so settleDirty() and evict()
 	// index them by claim src without bounds checks. A checkpoint that
 	// breaks the invariant must fail here, not panic at the next epoch
 	// refresh.
@@ -541,48 +540,6 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 					s, obj.name, obj.claims[i].src, nd)
 			}
 		}
-	}
-	return nil
-}
-
-// WriteCheckpointFile atomically checkpoints to path: the bytes land
-// in a temp file in the same directory and are renamed into place
-// only after a successful sync, so a crash mid-write never clobbers
-// the previous checkpoint.
-func (e *Engine) WriteCheckpointFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = e.WriteCheckpoint(f); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	// Sync the directory too, or the rename itself may not survive a
-	// power loss — the durability claim covers the directory entry,
-	// not just the bytes. Strictly best-effort: filesystems that
-	// refuse directory fsync (FUSE, network, overlay mounts) still
-	// have a valid, fully-synced file in place, so their refusal must
-	// not fail the checkpoint.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -376,7 +376,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	e := ingestEngine(t, triples[:1400], 2)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "engine.ckpt")
-	if err := e.WriteCheckpointFile(path); err != nil {
+	if err := NewCheckpointStore(path, 1).Write(e); err != nil {
 		t.Fatal(err)
 	}
 	// No temp droppings left behind.

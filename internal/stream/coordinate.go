@@ -2,18 +2,19 @@
 // consistent-hash scale-out mode (internal/cluster, `slimfast
 // router`). A cluster of N single-shard engines behind a router that
 // partitions objects with the engine's own FNV hash is the in-process
-// shard pattern lifted one level up — and these methods expose exactly
-// the three shard-level moves an epoch needs, without performing the
-// global fold locally:
+// shard pattern lifted one level up: a single engine is a one-member
+// cluster whose coordinator is refreshLocked. The three primitives are
+// name-keyed wrappers over the very barrier steps the engine's own
+// epoch refresh and Refine run, minus the global fold:
 //
-//   - DrainDeltas hands the router this engine's settled evidence
-//     deltas since the last drain (the shard.drain fold, by name).
-//   - RefineMass hands the router one Refine sweep's exact per-source
-//     posterior mass (the parts stage of Engine.Refine, by name).
-//   - ApplyAccuracies installs the router's globally merged accuracy
-//     table as the new frozen σ-table and bumps the epoch — the
-//     σ-recompute half of refreshLocked, with the numbers computed
-//     elsewhere.
+//   - DrainDeltas is drainLocked: the settled evidence deltas since the
+//     last drain, merged in shard order.
+//   - RefineMass is refineMassLocked: one Refine sweep's exact
+//     per-source posterior mass, pooled in shard order.
+//   - ApplyAccuracies is the install half of a barrier: the
+//     coordinator's accuracy table becomes the frozen σ-table through
+//     setAccuracyLocked, the epoch is bumped, and with rescore set
+//     rescoreAll runs as in Refine.
 //
 // The router performs the cross-engine fold in fixed node order, the
 // same way refreshLocked folds shards in shard order, so the float
@@ -25,9 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"slimfast/internal/mathx"
-	"slimfast/internal/parallel"
 )
 
 // ExternalEpochLength is the EpochLength sentinel for engines whose
@@ -114,33 +112,8 @@ func (e *Engine) DrainDeltas() ([]SourceStat, error) {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
 	e.sinceEp.Store(0)
-	agree := e.mergeAgree[:0]
-	total := e.mergeTotal[:0]
-	obs := e.mergeObs[:0]
-	// Shard order fixes the float accumulation order, as in
-	// refreshLocked: the coordinator continues the same ordered
-	// reduction across engines.
-	for s := range e.shards {
-		e.shards[s].drain(func(da, dt []float64, oc []int64) {
-			for len(agree) < len(da) {
-				agree = append(agree, 0)
-				total = append(total, 0)
-				obs = append(obs, 0)
-			}
-			for i := range da {
-				agree[i] += da[i]
-				total[i] += dt[i]
-				obs[i] += oc[i]
-			}
-		})
-	}
-	e.mergeAgree, e.mergeTotal, e.mergeObs = agree, total, obs
-	names := e.sourceNames()
-	out := make([]SourceStat, len(agree))
-	for i := range agree {
-		out[i] = SourceStat{Source: names[i], Agree: agree[i], Total: total[i], Observations: obs[i]}
-	}
-	return out, nil
+	agree, total, obs := e.drainLocked()
+	return e.sourceStats(agree, total, obs), nil
 }
 
 // RefineMass recomputes, under the current posteriors, the exact
@@ -158,66 +131,22 @@ func (e *Engine) RefineMass() ([]SourceStat, error) {
 	}
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
-	type mass struct{ agree, total []float64 }
-	parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) mass {
-		sh := &e.shards[s]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		m := mass{
-			agree: make([]float64, len(sh.evictedAgree)),
-			total: make([]float64, len(sh.evictedTotal)),
-		}
-		copy(m.agree, sh.evictedAgree)
-		copy(m.total, sh.evictedTotal)
-		grow := func(sid int32) {
-			for len(m.agree) <= int(sid) {
-				m.agree = append(m.agree, 0)
-				m.total = append(m.total, 0)
-			}
-		}
-		for ix := range sh.objs {
-			obj := &sh.objs[ix]
-			if !obj.live {
-				continue
-			}
-			for i := range obj.claims {
-				c := &obj.claims[i]
-				p := obj.post[obj.domainIndex(c.val)]
-				grow(c.src)
-				m.agree[c.src] += p
-				m.total[c.src]++
-				c.settled = p
-			}
-			obj.dirty = false
-		}
-		sh.dirtyIx = sh.dirtyIx[:0]
-		for i := range sh.deltaAgree {
-			sh.deltaAgree[i] = 0
-			sh.deltaTotal[i] = 0
-			sh.obsCount[i] = 0
-		}
-		return m
-	})
-	n := 0
-	for _, m := range parts {
-		if len(m.agree) > n {
-			n = len(m.agree)
-		}
-	}
+	agree, total := e.refineMassLocked()
 	e.sinceEp.Store(0)
+	return e.sourceStats(agree, total, nil), nil
+}
+
+// sourceStats keys per-source vectors by name; obs may be nil.
+func (e *Engine) sourceStats(agree, total []float64, obs []int64) []SourceStat {
 	names := e.sourceNames()
-	out := make([]SourceStat, n)
-	for s := 0; s < n; s++ {
-		var a, t float64
-		for _, m := range parts { // shard order: deterministic
-			if s < len(m.agree) {
-				a += m.agree[s]
-				t += m.total[s]
-			}
+	out := make([]SourceStat, len(agree))
+	for i := range agree {
+		out[i] = SourceStat{Source: names[i], Agree: agree[i], Total: total[i]}
+		if obs != nil {
+			out[i].Observations = obs[i]
 		}
-		out[s] = SourceStat{Source: names[s], Agree: a, Total: t}
 	}
-	return out, nil
+	return out
 }
 
 // ApplyAccuracies installs a coordinator-computed accuracy table: each
@@ -244,39 +173,13 @@ func (e *Engine) ApplyAccuracies(accs []SourceAccuracy, rescore bool) error {
 	defer e.refreshMu.Unlock()
 	e.src.mu.Lock()
 	for _, a := range accs {
-		id, ok := e.src.ids[a.Source]
-		if !ok {
-			id = len(e.src.names)
-			e.src.ids[a.Source] = id
-			e.src.names = append(e.src.names, a.Source)
-			e.src.agree = append(e.src.agree, 0)
-			e.src.total = append(e.src.total, 0)
-			e.src.acc = append(e.src.acc, 0)
-			e.src.sigma = append(e.src.sigma, 0)
-		}
-		e.src.acc[id] = a.Accuracy
-		e.src.sigma[id] = mathx.Logit(a.Accuracy)
+		e.setAccuracyLocked(e.internSourceLocked(a.Source), a.Accuracy)
 	}
 	e.src.epoch++
 	epoch := e.src.epoch
 	e.src.mu.Unlock()
 	if rescore {
-		parallel.For(e.nShards, e.opts.Workers, func(s int) {
-			sh := &e.shards[s]
-			sh.mu.Lock()
-			for ix := range sh.objs {
-				obj := &sh.objs[ix]
-				if !obj.live {
-					continue
-				}
-				sh.rescore(e, obj, epoch)
-				if !obj.dirty {
-					obj.dirty = true
-					sh.dirtyIx = append(sh.dirtyIx, ix)
-				}
-			}
-			sh.mu.Unlock()
-		})
+		e.rescoreAll(epoch)
 	}
 	return nil
 }

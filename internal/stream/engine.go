@@ -393,6 +393,16 @@ func (e *Engine) lookupSource(name string) (sid int, sigma float64, epoch int64)
 	}
 	e.src.mu.RUnlock()
 	e.src.mu.Lock()
+	id := e.internSourceLocked(name)
+	sigma, epoch = e.src.sigma[id], e.src.epoch
+	e.src.mu.Unlock()
+	return id, sigma, epoch
+}
+
+// internSourceLocked returns the source's id, interning it with no
+// evidence and the prior accuracy when it is new. Caller holds src.mu
+// for writing.
+func (e *Engine) internSourceLocked(name string) int {
 	id, ok := e.src.ids[name]
 	if !ok {
 		id = len(e.src.names)
@@ -403,9 +413,14 @@ func (e *Engine) lookupSource(name string) (sid int, sigma float64, epoch int64)
 		e.src.acc = append(e.src.acc, smoothedAccuracy(e.opts.Options, 0, 0))
 		e.src.sigma = append(e.src.sigma, e.initSigma)
 	}
-	sigma, epoch = e.src.sigma[id], e.src.epoch
-	e.src.mu.Unlock()
-	return id, sigma, epoch
+	return id
+}
+
+// setAccuracyLocked installs source s's accuracy and its frozen
+// σ = logit(acc), Eq. 2. Caller holds src.mu for writing.
+func (e *Engine) setAccuracyLocked(s int, acc float64) {
+	e.src.acc[s] = acc
+	e.src.sigma[s] = mathx.Logit(acc)
 }
 
 // lookupValue interns the value and returns its id.
@@ -731,12 +746,9 @@ func (sh *shard) lruTouch(ix int) {
 	sh.lruPush(ix)
 }
 
-// drain folds the shard's dirty-object posterior drift into its delta
-// vectors and hands (deltaAgree, deltaTotal, obsCount) to fold, which
-// must copy what it needs; the vectors are zeroed before returning.
-// Caller must not hold sh.mu.
-func (sh *shard) drain(fold func(agree, total []float64, obs []int64)) {
-	sh.mu.Lock()
+// settleDirty folds the shard's dirty-object posterior drift into its
+// delta vectors. Caller holds sh.mu.
+func (sh *shard) settleDirty() {
 	for _, ix := range sh.dirtyIx {
 		obj := &sh.objs[ix]
 		if !obj.dirty {
@@ -753,13 +765,54 @@ func (sh *shard) drain(fold func(agree, total []float64, obs []int64)) {
 		obj.dirty = false
 	}
 	sh.dirtyIx = sh.dirtyIx[:0]
-	fold(sh.deltaAgree, sh.deltaTotal, sh.obsCount)
+}
+
+// resetDeltas zeroes the shard's per-source accumulators once a drain
+// or a refine-mass gather has taken them. Caller holds sh.mu.
+func (sh *shard) resetDeltas() {
 	for i := range sh.deltaAgree {
 		sh.deltaAgree[i] = 0
 		sh.deltaTotal[i] = 0
 		sh.obsCount[i] = 0
 	}
-	sh.mu.Unlock()
+}
+
+// refineMass returns the shard's exact per-source agreement mass under
+// the current posteriors: its evicted mass as the irreducible base
+// plus every live claim's posterior. Each claim's settled mark moves
+// to the value just summed and the deltas are zeroed, so later drains
+// stay consistent with the global state rebuilt from this mass. The
+// vectors are sized by the ids actually referenced: a concurrent
+// Observe may intern sources mid-gather, so a snapshotted global count
+// would be stale. Caller must not hold sh.mu.
+func (sh *shard) refineMass() (agree, total []float64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	agree = make([]float64, len(sh.evictedAgree))
+	total = make([]float64, len(sh.evictedTotal))
+	copy(agree, sh.evictedAgree)
+	copy(total, sh.evictedTotal)
+	for ix := range sh.objs {
+		obj := &sh.objs[ix]
+		if !obj.live {
+			continue
+		}
+		for i := range obj.claims {
+			c := &obj.claims[i]
+			p := obj.post[obj.domainIndex(c.val)]
+			for len(agree) <= int(c.src) {
+				agree = append(agree, 0)
+				total = append(total, 0)
+			}
+			agree[c.src] += p
+			total[c.src]++
+			c.settled = p
+		}
+		obj.dirty = false
+	}
+	sh.dirtyIx = sh.dirtyIx[:0]
+	sh.resetDeltas()
+	return agree, total
 }
 
 // maybeRefresh runs an epoch refresh if the observation budget is
@@ -775,39 +828,16 @@ func (e *Engine) maybeRefresh() {
 	e.refreshLocked()
 }
 
-// refreshLocked drains every shard in shard order, folds the deltas
-// into the global source state, recomputes accuracies and the
-// σ-table, and bumps the epoch. Caller holds refreshMu.
+// refreshLocked is one epoch barrier: drain every shard in shard
+// order, fold the deltas into the global source state, install the
+// recomputed accuracies and σ-table, and bump the epoch. Caller holds
+// refreshMu.
 func (e *Engine) refreshLocked() {
 	var began time.Time
 	if e.met.EpochRefreshSeconds != nil {
 		began = time.Now()
 	}
-	// The merge buffers grow to cover whatever source ids the shard
-	// drains reference: a concurrent Observe may intern new sources
-	// after any initial count snapshot, so sizing is driven by the
-	// drained vectors themselves, never by a stale length.
-	agree := e.mergeAgree[:0]
-	total := e.mergeTotal[:0]
-	obs := e.mergeObs[:0]
-	// Shard order fixes the float accumulation order: the drain is a
-	// deterministic ordered reduction regardless of who ingested what.
-	for s := range e.shards {
-		e.shards[s].drain(func(da, dt []float64, oc []int64) {
-			for len(agree) < len(da) {
-				agree = append(agree, 0)
-				total = append(total, 0)
-				obs = append(obs, 0)
-			}
-			for i := range da {
-				agree[i] += da[i]
-				total[i] += dt[i]
-				obs[i] += oc[i]
-			}
-		})
-	}
-	e.mergeAgree, e.mergeTotal, e.mergeObs = agree, total, obs
-	n := len(agree) // every id here exists: interning precedes claims
+	agree, total, obs := e.drainLocked()
 
 	// Online mode: register newly interned sources, feed the learner
 	// this epoch's settled deltas, and take the σ-table from its
@@ -820,9 +850,7 @@ func (e *Engine) refreshLocked() {
 	if e.learner != nil {
 		names := e.sourceNames()
 		e.learnMu.Lock()
-		for sid := e.learner.NumSources(); sid < len(names); sid++ {
-			e.learner.SetFeatures(sid, e.features[names[sid]])
-		}
+		e.registerSourcesLocked(names)
 		e.learner.ObserveEpoch(agree, total)
 		acc = e.accScratch[:0]
 		for s := range names {
@@ -839,16 +867,14 @@ func (e *Engine) refreshLocked() {
 	e.src.mu.Lock()
 	FoldEpoch(e.src.agree, e.src.total, agree, total, obs, e.opts.Decay)
 	if acc == nil {
-		for s := 0; s < n; s++ {
-			e.src.acc[s] = smoothedAccuracy(e.opts.Options, e.src.agree[s], e.src.total[s])
-			e.src.sigma[s] = mathx.Logit(e.src.acc[s])
+		for s := range agree { // every id here exists: interning precedes claims
+			e.setAccuracyLocked(s, smoothedAccuracy(e.opts.Options, e.src.agree[s], e.src.total[s]))
 		}
 	}
 	// acc covers the name-table snapshot; sources interned after it by
 	// a concurrent Observe keep their prior σ until the next refresh.
-	for s := 0; s < len(acc) && s < len(e.src.acc); s++ {
-		e.src.acc[s] = acc[s]
-		e.src.sigma[s] = mathx.Logit(acc[s])
+	for s, a := range acc {
+		e.setAccuracyLocked(s, a)
 	}
 	e.src.epoch++
 	epoch := e.src.epoch
@@ -858,6 +884,95 @@ func (e *Engine) refreshLocked() {
 	if e.met.EpochRefreshSeconds != nil {
 		e.met.EpochRefreshSeconds.Observe(time.Since(began).Seconds())
 	}
+}
+
+// drainLocked settles every shard's dirty objects and merges the
+// per-shard delta vectors into the reused merge buffers, zeroing them.
+// Shard order fixes the float accumulation order: the drain is a
+// deterministic ordered reduction regardless of who ingested what,
+// and a cluster coordinator continues it across engines. The buffers
+// grow to cover whatever source ids the shards reference: a
+// concurrent Observe may intern new sources after any initial count
+// snapshot, so sizing is driven by the drained vectors themselves.
+// Caller holds refreshMu.
+func (e *Engine) drainLocked() (agree, total []float64, obs []int64) {
+	agree, total, obs = e.mergeAgree[:0], e.mergeTotal[:0], e.mergeObs[:0]
+	for s := range e.shards {
+		sh := &e.shards[s]
+		sh.mu.Lock()
+		sh.settleDirty()
+		for len(agree) < len(sh.deltaAgree) {
+			agree = append(agree, 0)
+			total = append(total, 0)
+			obs = append(obs, 0)
+		}
+		for i := range sh.deltaAgree {
+			agree[i] += sh.deltaAgree[i]
+			total[i] += sh.deltaTotal[i]
+			obs[i] += sh.obsCount[i]
+		}
+		sh.resetDeltas()
+		sh.mu.Unlock()
+	}
+	e.mergeAgree, e.mergeTotal, e.mergeObs = agree, total, obs
+	return agree, total, obs
+}
+
+// refineMassLocked gathers one Refine sweep's exact per-source mass
+// (shard.refineMass) from every shard and pools it in shard order, so
+// the sums are deterministic for any worker count. Caller holds
+// refreshMu.
+func (e *Engine) refineMassLocked() (agree, total []float64) {
+	type mass struct{ agree, total []float64 }
+	parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) mass {
+		a, t := e.shards[s].refineMass()
+		return mass{a, t}
+	})
+	n := 0
+	for _, m := range parts {
+		n = max(n, len(m.agree))
+	}
+	agree, total = make([]float64, n), make([]float64, n)
+	for s := range agree {
+		for _, m := range parts {
+			if s < len(m.agree) {
+				agree[s] += m.agree[s]
+				total[s] += m.total[s]
+			}
+		}
+	}
+	return agree, total
+}
+
+// registerSourcesLocked registers every interned source the learner
+// has not seen yet with its configured feature labels, in intern
+// order. Caller holds refreshMu and learnMu.
+func (e *Engine) registerSourcesLocked(names []string) {
+	for sid := e.learner.NumSources(); sid < len(names); sid++ {
+		e.learner.SetFeatures(sid, e.features[names[sid]])
+	}
+}
+
+// rescoreAll rescores every live object under the epoch's σ-table and
+// marks it dirty, so its drift against its settled mass folds in at
+// the next drain.
+func (e *Engine) rescoreAll(epoch int64) {
+	parallel.For(e.nShards, e.opts.Workers, func(s int) {
+		sh := &e.shards[s]
+		sh.mu.Lock()
+		for ix := range sh.objs {
+			obj := &sh.objs[ix]
+			if !obj.live {
+				continue
+			}
+			sh.rescore(e, obj, epoch)
+			if !obj.dirty {
+				obj.dirty = true
+				sh.dirtyIx = append(sh.dirtyIx, ix)
+			}
+		}
+		sh.mu.Unlock()
+	})
 }
 
 // Refine runs full re-estimation sweeps — accuracies from posteriors,
@@ -873,87 +988,22 @@ func (e *Engine) Refine(sweeps int) {
 	}
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
-	type mass struct{ agree, total []float64 }
 	for sweep := 0; sweep < sweeps; sweep++ {
-		// Per-shard partial sums under the current posteriors; each
-		// claim's settled mark moves to the value just summed so later
-		// drains stay consistent with the rebuilt global state. The
-		// vectors are sized by the ids actually referenced (a
-		// concurrent Observe may intern sources mid-sweep, so a
-		// snapshotted global count would be stale).
-		parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) mass {
-			sh := &e.shards[s]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			m := mass{
-				agree: make([]float64, len(sh.evictedAgree)),
-				total: make([]float64, len(sh.evictedTotal)),
-			}
-			copy(m.agree, sh.evictedAgree)
-			copy(m.total, sh.evictedTotal)
-			grow := func(sid int32) {
-				for len(m.agree) <= int(sid) {
-					m.agree = append(m.agree, 0)
-					m.total = append(m.total, 0)
-				}
-			}
-			for ix := range sh.objs {
-				obj := &sh.objs[ix]
-				if !obj.live {
-					continue
-				}
-				for i := range obj.claims {
-					c := &obj.claims[i]
-					p := obj.post[obj.domainIndex(c.val)]
-					grow(c.src)
-					m.agree[c.src] += p
-					m.total[c.src]++
-					c.settled = p
-				}
-				obj.dirty = false
-			}
-			sh.dirtyIx = sh.dirtyIx[:0]
-			for i := range sh.deltaAgree {
-				sh.deltaAgree[i] = 0
-				sh.deltaTotal[i] = 0
-				sh.obsCount[i] = 0
-			}
-			return m
-		})
-		n := 0
-		for _, m := range parts {
-			if len(m.agree) > n {
-				n = len(m.agree)
-			}
-		}
-		if n == 0 {
+		agree, total := e.refineMassLocked()
+		if len(agree) == 0 {
 			return
 		}
 		// Online mode mirrors core.Calibrate's structure sweep by
-		// sweep: pool the exact per-source agreement mass (in shard
-		// order — deterministic), refit the feature weights on it
-		// (FitMass, the feature-pooling SGD pass), then re-anchor each
-		// source's accuracy with the closed-form empirical-Bayes step
-		// below. Registration runs inside the sweep because a
-		// concurrent Observe may intern sources mid-sweep.
-		var fullAgree, fullTotal []float64
+		// sweep: refit the feature weights on the pooled mass (FitMass,
+		// the feature-pooling SGD pass), then re-anchor each source's
+		// accuracy with the closed-form empirical-Bayes step below.
+		// Registration runs inside the sweep because a concurrent
+		// Observe may intern sources mid-sweep.
 		if e.learner != nil {
-			fullAgree = make([]float64, n)
-			fullTotal = make([]float64, n)
-			for s := 0; s < n; s++ {
-				for _, m := range parts {
-					if s < len(m.agree) {
-						fullAgree[s] += m.agree[s]
-						fullTotal[s] += m.total[s]
-					}
-				}
-			}
 			names := e.sourceNames()
 			e.learnMu.Lock()
-			for sid := e.learner.NumSources(); sid < len(names); sid++ {
-				e.learner.SetFeatures(sid, e.features[names[sid]])
-			}
-			e.learner.FitMass(fullAgree, fullTotal)
+			e.registerSourcesLocked(names)
+			e.learner.FitMass(agree, total)
 			e.learnMu.Unlock()
 		}
 		e.src.mu.Lock()
@@ -961,54 +1011,27 @@ func (e *Engine) Refine(sweeps int) {
 		// (zero-mass sources fall back to their feature prior).
 		// Reading the learner without learnMu is safe here: mutation
 		// only happens under refreshMu, which Refine holds.
-		hi := n
-		if e.learner != nil && len(e.src.acc) > hi {
-			hi = len(e.src.acc)
+		hi := len(agree)
+		if e.learner != nil {
+			hi = max(hi, len(e.src.acc))
 		}
 		for s := 0; s < hi; s++ {
 			var a, t float64
-			if fullAgree != nil {
-				if s < n {
-					a, t = fullAgree[s], fullTotal[s]
-				}
-			} else {
-				for _, m := range parts { // shard order: deterministic
-					if s < len(m.agree) {
-						a += m.agree[s]
-						t += m.total[s]
-					}
-				}
+			if s < len(agree) {
+				a, t = agree[s], total[s]
 			}
 			e.src.agree[s] = a
 			e.src.total[s] = t
 			if e.learner != nil && s < e.learner.NumSources() {
-				e.src.acc[s] = e.learner.Blend(s, a, t)
+				e.setAccuracyLocked(s, e.learner.Blend(s, a, t))
 			} else {
-				e.src.acc[s] = smoothedAccuracy(e.opts.Options, a, t)
+				e.setAccuracyLocked(s, smoothedAccuracy(e.opts.Options, a, t))
 			}
-			e.src.sigma[s] = mathx.Logit(e.src.acc[s])
 		}
 		e.src.epoch++
 		epoch := e.src.epoch
 		e.src.mu.Unlock()
-		// Rescore every live object under the fresh σ and mark it
-		// dirty so the drift vs. its settled mass folds in later.
-		parallel.For(e.nShards, e.opts.Workers, func(s int) {
-			sh := &e.shards[s]
-			sh.mu.Lock()
-			for ix := range sh.objs {
-				obj := &sh.objs[ix]
-				if !obj.live {
-					continue
-				}
-				sh.rescore(e, obj, epoch)
-				if !obj.dirty {
-					obj.dirty = true
-					sh.dirtyIx = append(sh.dirtyIx, ix)
-				}
-			}
-			sh.mu.Unlock()
-		})
+		e.rescoreAll(epoch)
 		e.met.RefineSweeps.Inc()
 		e.met.Epoch.Set(float64(epoch))
 	}
@@ -1024,10 +1047,11 @@ func (e *Engine) Value(objectName string) (value string, confidence float64, ok 
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	ix, found := sh.index[objectName]
-	if !found {
+	if !found || sh.objs[ix].mapIx < 0 {
 		return "", 0, false
 	}
-	return mapValue(&sh.objs[ix], e.valueNames())
+	obj := &sh.objs[ix]
+	return e.valueNames()[obj.domain[obj.mapIx]], obj.post[obj.mapIx], true
 }
 
 // valueNames snapshots the value name table without holding its lock
@@ -1048,25 +1072,6 @@ func (e *Engine) sourceNames() []string {
 	names := e.src.names
 	e.src.mu.RUnlock()
 	return names
-}
-
-// mapValue extracts the MAP (value name, probability) of an object.
-// Caller holds the object's shard lock (read or write) and passes a
-// valueNames() snapshot taken under it.
-func mapValue(obj *object, valNames []string) (string, float64, bool) {
-	if len(obj.post) == 0 {
-		return "", 0, false
-	}
-	best := valNames[obj.domain[0]]
-	bestP := obj.post[0]
-	for i := 1; i < len(obj.domain); i++ {
-		name := valNames[obj.domain[i]]
-		p := obj.post[i]
-		if p > bestP || (p == bestP && name < best) {
-			best, bestP = name, p
-		}
-	}
-	return best, bestP, true
 }
 
 // SourceAccuracy returns the frozen-epoch accuracy estimate for a
@@ -1170,11 +1175,8 @@ func (e *Engine) shardEstimates(s int) []Estimate {
 	out := make([]Estimate, 0, sh.nLive)
 	for ix := range sh.objs {
 		obj := &sh.objs[ix]
-		if !obj.live {
-			continue
-		}
-		if v, conf, ok := mapValue(obj, valNames); ok {
-			out = append(out, Estimate{obj.name, v, conf})
+		if obj.live && obj.mapIx >= 0 {
+			out = append(out, Estimate{obj.name, valNames[obj.domain[obj.mapIx]], obj.post[obj.mapIx]})
 		}
 	}
 	sh.mu.RUnlock()

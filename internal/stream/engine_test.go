@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -55,6 +56,54 @@ func TestEngineBasicVoting(t *testing.T) {
 	if st.Sources != 3 || st.Objects != 1 || st.Observations != 3 {
 		t.Errorf("stats = %+v", st)
 	}
+}
+
+// TestEngineMAPTieBreak pins the MAP tie-break on every read path
+// that serves the cached MAP index: two equal-σ sources split an
+// object between b (seen first) and a, an exact posterior tie that
+// must go to the lexically smaller name — not to the first-seen or
+// last-seen domain entry — through Value, EstimatesSeq and ScanShard,
+// after a claim change and after a checkpoint round trip.
+func TestEngineMAPTieBreak(t *testing.T) {
+	check := func(e *Engine, when string) {
+		t.Helper()
+		v, conf, ok := e.Value("o")
+		if !ok || v != "a" || math.Abs(conf-0.5) > 1e-12 {
+			t.Errorf("%s: Value = %q %v %v, want a at 0.5", when, v, conf, ok)
+		}
+		var seq []Estimate
+		for est := range e.EstimatesSeq() {
+			seq = append(seq, est)
+		}
+		if want := (Estimate{"o", "a", conf}); len(seq) != 1 || seq[0] != want {
+			t.Errorf("%s: EstimatesSeq = %v, want [%v]", when, seq, want)
+		}
+		var rows []Row
+		for s := 0; s < e.NumShards(); s++ {
+			rows = append(rows, scanRows(e, s, NoPair)...)
+		}
+		if len(rows) != 1 || rows[0].Value != "a" || rows[0].Confidence != conf {
+			t.Errorf("%s: ScanShard rows = %+v, want one row o=a at %v", when, rows, conf)
+		}
+	}
+	e, err := NewEngine(testEngineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Observe("s1", "o", "b")
+	e.Observe("s2", "o", "a")
+	check(e, "tie b/a")
+	e.Observe("s1", "o", "c") // b loses its claim; a ties c, seen after it
+	check(e, "after a claim change")
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, "after a checkpoint round trip")
 }
 
 func TestEngineZeroObservationState(t *testing.T) {

@@ -57,8 +57,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // NewCheckpointStore returns a store rotating keep generations at
-// path (keep < 1 selects DefaultCheckpointKeep; keep == 1 degenerates
-// to the single-file behavior of WriteCheckpointFile).
+// path (keep < 1 selects DefaultCheckpointKeep; keep == 1 keeps one
+// atomically replaced file).
 func NewCheckpointStore(path string, keep int) *CheckpointStore {
 	if keep < 1 {
 		keep = DefaultCheckpointKeep
@@ -98,28 +98,24 @@ func (cs *CheckpointStore) Write(e *Engine) (err error) {
 		cs.Metrics.WriteSeconds.Observe(time.Since(began).Seconds())
 	}()
 	dir := filepath.Dir(cs.path)
-	f, err := cs.FS.CreateTemp(dir, filepath.Base(cs.path)+".tmp*")
+	var encodeErr error
+	tmp, err := resilience.WriteTemp(cs.FS, dir, filepath.Base(cs.path)+".tmp*", func(w io.Writer) error {
+		cw := &countingWriter{w: w}
+		encodeErr = e.WriteCheckpoint(cw)
+		written = cw.n
+		return encodeErr
+	})
+	if encodeErr != nil {
+		return encodeErr // WriteCheckpoint's errors already name the checkpoint
+	}
 	if err != nil {
 		return fmt.Errorf("stream: checkpoint: %w", err)
 	}
-	tmp := f.Name()
 	defer func() {
 		if err != nil {
-			f.Close()
 			cs.FS.Remove(tmp)
 		}
 	}()
-	cw := &countingWriter{w: f}
-	if err = e.WriteCheckpoint(cw); err != nil {
-		return err
-	}
-	written = cw.n
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
 	// Rotate oldest-first so every rename moves a file into a slot
 	// that has already been vacated (or is being discarded). Each
 	// rename is atomic; a crash mid-rotation leaves a gap at worst,
